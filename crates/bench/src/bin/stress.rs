@@ -17,17 +17,15 @@
 //!   its timestamp regardless of how the engine is keeping up, and
 //!   reports **latency under load** (completion − scheduled arrival) per
 //!   phase, plus queue-depth-over-time samples. This is the regime where
-//!   bursts and popularity drift actually hurt — and where `--rebalance
-//!   --steal --latency-proxy` earn their keep.
+//!   bursts and popularity drift actually hurt.
 //!
 //! `--shards 1` (the default) replays through the single-threaded
 //! `Engine::execute` path; `--shards N` pipelines the same stream through
 //! an N-worker `ShardedEngine` (submission-order responses, so the digest
 //! is identical for any shard count) and additionally reports per-shard
-//! occupancy. `--batch` turns on read batching, `--rebalance` adaptive
-//! placement, `--steal` work stealing, `--latency-proxy` measured serve
-//! times as the rebalancer's load signal. None of these change a
-//! response, so the digest is invariant across every flag combination.
+//! occupancy. `--rebalance` turns on adaptive placement (graph
+//! migration). It never changes a response, so the digest is invariant
+//! across every flag combination.
 //!
 //! A workload can be saved and replayed byte-identically: `--trace-out
 //! PATH` writes the timestamped request stream, `--trace-in PATH` replays
@@ -41,10 +39,9 @@
 //! latency, and a per-connection throughput table is reported. At one
 //! connection the operation log — and therefore the digest — is
 //! byte-identical to an in-process run of the same flags, which is the
-//! CI loopback gate. Engine-side flags (`--shards`, `--batch`,
-//! `--rebalance`, `--steal`, `--latency-proxy`, `--cache-entries`) are
-//! *server* properties under a network split: pass them to `cut-server`,
-//! not to a `--remote` stress run.
+//! CI loopback gate. Engine-side flags (`--shards`, `--rebalance`,
+//! `--cache-entries`) are *server* properties under a network split: pass
+//! them to `cut-server`, not to a `--remote` stress run.
 //!
 //! `--json-out PATH` writes the whole report as a machine-readable
 //! `BENCH_*.json` artifact with the same schema (`cut-stress/1`) local
@@ -64,7 +61,7 @@
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --seed 7
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --seed 7 --shards 4
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --seed 7 --shards 4 \
-//!     --phases bursty --arrival poisson:20000 --rebalance --steal --latency-proxy
+//!     --phases bursty --arrival poisson:20000 --rebalance
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --trace-out /tmp/run.trace
 //! cargo run --release -p cut_bench --bin stress -- --trace-in /tmp/run.trace --shards 4
 //! cargo run --release -p cut_server --bin cut-server -- --shards 4 &
@@ -73,8 +70,8 @@
 //! ```
 //!
 //! Flags: `--ops N` `--seed S` `--graphs G` `--initial-n N` `--zipf Z`
-//! `--mix default|read-only|write-heavy` `--shards N` `--batch`
-//! `--rebalance` `--rebalance-window N` `--steal` `--latency-proxy`
+//! `--mix default|read-only|write-heavy` `--shards N`
+//! `--rebalance` `--rebalance-window N`
 //! `--arrival closed|steady:R|poisson:R|bursts:B:P|diurnal:L:H`
 //! `--phases single|bursty|diurnal|flash` `--trace-out PATH`
 //! `--trace-in PATH` `--cache-entries N` `--dump-log PATH`
@@ -104,7 +101,7 @@ use cut_client::{ClientError, Connection, ReconnectPolicy, RemoteTicket};
 use cut_engine::{
     ActionMix, ArrivalProcess, Engine, EngineConfig, EngineStats, GraphStore, Histogram,
     PlacementOptions, PlacementReport, Registry, Request, Response, ShardOptions, ShardedEngine,
-    Ticket, Timeline, Workload, WorkloadConfig, BATCH_BUCKET_LABELS, QUERY_KINDS,
+    Ticket, Timeline, Workload, WorkloadConfig, QUERY_KINDS,
 };
 // FNV-1a over the log bytes — stable across runs and platforms.
 use cut_graph::hash::fnv1a;
@@ -190,11 +187,8 @@ struct Args {
     mix: ActionMix,
     mix_name: String,
     shards: usize,
-    batch: bool,
     rebalance: bool,
     rebalance_window: usize,
-    steal: bool,
-    latency_proxy: bool,
     arrival: ArrivalArg,
     phases: String,
     trace_out: Option<String>,
@@ -225,11 +219,8 @@ fn parse_args() -> Result<Args, String> {
         mix: ActionMix::default(),
         mix_name: "default".to_string(),
         shards: 1,
-        batch: false,
         rebalance: false,
         rebalance_window: PlacementOptions::default().window,
-        steal: false,
-        latency_proxy: false,
         arrival: ArrivalArg::Closed,
         phases: "single".to_string(),
         trace_out: None,
@@ -280,14 +271,11 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => {
                 args.shards = value(&mut i)?.parse().map_err(|e| format!("--shards: {e}"))?
             }
-            "--batch" => args.batch = true,
             "--rebalance" => args.rebalance = true,
             "--rebalance-window" => {
                 args.rebalance_window =
                     value(&mut i)?.parse().map_err(|e| format!("--rebalance-window: {e}"))?
             }
-            "--steal" => args.steal = true,
-            "--latency-proxy" => args.latency_proxy = true,
             "--arrival" => args.arrival = ArrivalArg::parse(&value(&mut i)?)?,
             "--phases" => args.phases = value(&mut i)?,
             "--trace-out" => args.trace_out = Some(value(&mut i)?),
@@ -325,8 +313,8 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "stress --ops N --seed S [--graphs G] [--initial-n N] [--zipf Z] \
-                     [--mix default|read-only|write-heavy] [--shards N] [--batch] \
-                     [--rebalance] [--rebalance-window N] [--steal] [--latency-proxy] \
+                     [--mix default|read-only|write-heavy] [--shards N] \
+                     [--rebalance] [--rebalance-window N] \
                      [--arrival closed|steady:R|poisson:R|bursts:B:P|diurnal:L:H] \
                      [--phases single|bursty|diurnal|flash|write-storm|whale] \
                      [--trace-out PATH] [--trace-in PATH] [--cache-entries N] [--no-dynconn] \
@@ -407,22 +395,17 @@ fn parse_args() -> Result<Args, String> {
         // Under a network split the engine lives in the server process;
         // accepting these here would silently configure nothing.
         let engine_flags_touched = args.shards != 1
-            || args.batch
             || args.rebalance
-            || args.steal
-            || args.latency_proxy
             || args.rebalance_window != PlacementOptions::default().window
             || args.cache_entries != EngineConfig::default().max_cache_entries
             || args.no_dynconn
             || args.kernel
             || args.kernel_threshold != EngineConfig::default().kernel_threshold;
         if engine_flags_touched {
-            return Err(
-                "--remote drives a cut-server: engine flags (--shards, --batch, --rebalance, \
-                 --rebalance-window, --steal, --latency-proxy, --cache-entries, --no-dynconn, \
-                 --kernel, --kernel-threshold) belong on the cut-server command line, not here"
-                    .into(),
-            );
+            return Err("--remote drives a cut-server: engine flags (--shards, --rebalance, \
+                 --rebalance-window, --cache-entries, --no-dynconn, --kernel, \
+                 --kernel-threshold) belong on the cut-server command line, not here"
+                .into());
         }
     }
     Ok(args)
@@ -519,22 +502,14 @@ fn main() {
     // (the trace does) — print only what is actually in effect.
     if let Some(path) = &args.trace_in {
         println!(
-            "cut-engine stress: trace={path} shards={} batch={} rebalance={} steal={} \
-             latency-proxy={} cache-entries={} dynconn={} kernel={}",
-            args.shards,
-            args.batch,
-            args.rebalance,
-            args.steal,
-            args.latency_proxy,
-            args.cache_entries,
-            !args.no_dynconn,
-            args.kernel
+            "cut-engine stress: trace={path} shards={} rebalance={} cache-entries={} \
+             dynconn={} kernel={}",
+            args.shards, args.rebalance, args.cache_entries, !args.no_dynconn, args.kernel
         );
     } else {
         println!(
             "cut-engine stress: ops={} seed={} graphs={} initial-n={} zipf={} mix={} shards={} \
-             batch={} rebalance={} steal={} latency-proxy={} arrival={:?} phases={} \
-             cache-entries={} dynconn={} kernel={}",
+             rebalance={} arrival={:?} phases={} cache-entries={} dynconn={} kernel={}",
             args.ops,
             args.seed,
             args.graphs,
@@ -542,10 +517,7 @@ fn main() {
             args.zipf,
             args.mix_name,
             args.shards,
-            args.batch,
             args.rebalance,
-            args.steal,
-            args.latency_proxy,
             args.arrival,
             args.phases,
             args.cache_entries,
@@ -614,23 +586,15 @@ fn main() {
     let placement = PlacementOptions {
         rebalance: args.rebalance,
         window: args.rebalance_window,
-        steal: args.steal,
-        latency_proxy: args.latency_proxy,
         ..PlacementOptions::default()
     };
     let opts = ShardOptions {
         cfg: engine_cfg.clone(),
-        batch: args.batch,
         placement,
         store: store.clone().map(|s| s as Arc<dyn GraphStore>),
         ..ShardOptions::default()
     };
-    let sharded_path = args.shards > 1
-        || args.batch
-        || args.rebalance
-        || args.steal
-        || args.latency_proxy
-        || workload.is_open_loop();
+    let sharded_path = args.shards > 1 || args.rebalance || workload.is_open_loop();
     let mut report = if let Some(addr) = &args.remote {
         println!("remote: driving cut-server at {addr} over {} connection(s)", args.connections);
         if workload.is_open_loop() {
@@ -667,7 +631,7 @@ fn main() {
             stats.hit_rate() * 100.0,
             stats.index.lru_evictions,
         );
-        print_index_efficiency(&stats, args.batch);
+        print_index_efficiency(&stats);
     }
 
     if let Some(latencies) = &mut report.latencies {
@@ -750,7 +714,7 @@ fn main() {
         let busy_total: u64 = occupancy.iter().map(|(_, s)| s.serve_nanos).sum::<u64>().max(1);
         println!();
         println!(
-            "{:<8} {:>8} {:>7} {:>7} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}",
+            "{:<8} {:>8} {:>7} {:>7} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7}",
             "shard",
             "routed",
             "share",
@@ -760,8 +724,7 @@ fn main() {
             "mutations",
             "hit-rate",
             "mig-in",
-            "mig-out",
-            "steals"
+            "mig-out"
         );
         for (shard, (routed, s)) in occupancy.iter().enumerate() {
             // Graphs owned now: arrivals (creates + migrations in) minus
@@ -769,7 +732,7 @@ fn main() {
             let owned = (s.graphs_created + s.migrations_in) as i64
                 - (s.graphs_dropped + s.migrations_out) as i64;
             println!(
-                "{:<8} {:>8} {:>6.1}% {:>6.1}% {:>7} {:>9} {:>9} {:>8.1}% {:>7} {:>7} {:>7}",
+                "{:<8} {:>8} {:>6.1}% {:>6.1}% {:>7} {:>9} {:>9} {:>8.1}% {:>7} {:>7}",
                 shard,
                 routed,
                 *routed as f64 / routed_total as f64 * 100.0,
@@ -780,7 +743,6 @@ fn main() {
                 s.hit_rate() * 100.0,
                 s.migrations_in,
                 s.migrations_out,
-                s.steal_batches,
             );
         }
         let max_share = occupancy.iter().map(|(r, _)| *r).max().unwrap_or(0) as f64
@@ -795,23 +757,11 @@ fn main() {
     }
 
     if let Some(placement) = &report.placement {
-        let stats = &report.stats;
         println!();
         println!(
-            "placement: {} rebalances, {} migrations (generation {}){}",
-            placement.rebalances,
-            placement.migrations,
-            placement.generation,
-            if args.latency_proxy { "  [latency proxy]" } else { "" }
+            "placement: {} rebalances, {} migrations (generation {})",
+            placement.rebalances, placement.migrations, placement.generation,
         );
-        if stats.steal_batches > 0 {
-            println!(
-                "stealing: {} runs / {} reads served by idle shards (mean run {:.1})",
-                stats.steal_batches,
-                stats.steal_reads,
-                stats.steal_reads as f64 / stats.steal_batches as f64,
-            );
-        }
         if !placement.assignments.is_empty() {
             let assignment: Vec<String> = placement
                 .assignments
@@ -950,8 +900,8 @@ fn main() {
 }
 
 /// The index-efficiency section: how much per-request work the index
-/// layer (and, when enabled, the shard workers' read batching) absorbed.
-fn print_index_efficiency(stats: &EngineStats, batch: bool) {
+/// layer absorbed.
+fn print_index_efficiency(stats: &EngineStats) {
     let idx = &stats.index;
     println!();
     println!(
@@ -1005,25 +955,6 @@ fn print_index_efficiency(stats: &EngineStats, batch: bool) {
                 avoided as f64 / (builds + avoided) as f64 * 100.0,
             );
         }
-    }
-
-    if batch {
-        let avg = if stats.batches == 0 {
-            0.0
-        } else {
-            stats.batched_reads as f64 / stats.batches as f64
-        };
-        println!(
-            "batching: {} read batches over {} reads (mean size {:.2})",
-            stats.batches, stats.batched_reads, avg,
-        );
-        let hist: Vec<String> = BATCH_BUCKET_LABELS
-            .iter()
-            .zip(&stats.batch_hist)
-            .filter(|(_, count)| **count > 0)
-            .map(|(label, count)| format!("{label}:{count}"))
-            .collect();
-        println!("batch sizes: {}", if hist.is_empty() { "-".into() } else { hist.join("  ") });
     }
 }
 
@@ -1134,11 +1065,10 @@ fn run_single(workload: &Workload, cfg: EngineConfig, store: Option<Arc<Store>>)
 /// byte-identical to the single-shard path.
 fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunReport {
     // The placement section only belongs in reports where the adaptive
-    // layer was on; a plain --shards/--batch run keeps its old shape.
-    let adaptive = opts.placement.rebalance || opts.placement.steal;
-    /// In-flight cap: deep enough to keep every shard busy (and to give
-    /// batching workers real runs to coalesce), small enough that pending
-    /// tickets never hold more than a sliver of the log.
+    // layer was on; a plain --shards run keeps its old shape.
+    let adaptive = opts.placement.rebalance;
+    /// In-flight cap: deep enough to keep every shard busy, small enough
+    /// that pending tickets never hold more than a sliver of the log.
     const WINDOW: usize = 1024;
 
     let mut engine = ShardedEngine::with_options(shards, opts);
@@ -1205,7 +1135,7 @@ fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunRep
 /// when they happen, not when an earlier slow request finally resolves.
 fn run_open_loop(workload: &Workload, shards: usize, opts: ShardOptions) -> RunReport {
     assert!(workload.is_open_loop(), "open-loop replay needs an arrival schedule");
-    let adaptive = opts.placement.rebalance || opts.placement.steal;
+    let adaptive = opts.placement.rebalance;
     let mut engine = ShardedEngine::with_options(shards, opts);
     let mut log = String::with_capacity(workload.len() * 64);
     let mut errors = 0usize;
@@ -1779,11 +1709,8 @@ fn render_json(
     out.push_str(&format!("    \"zipf\": {},\n", args.zipf));
     out.push_str(&format!("    \"mix\": {},\n", json_str(&args.mix_name)));
     out.push_str(&format!("    \"shards\": {},\n", args.shards));
-    out.push_str(&format!("    \"batch\": {},\n", args.batch));
     out.push_str(&format!("    \"rebalance\": {},\n", args.rebalance));
     out.push_str(&format!("    \"rebalance_window\": {},\n", args.rebalance_window));
-    out.push_str(&format!("    \"steal\": {},\n", args.steal));
-    out.push_str(&format!("    \"latency_proxy\": {},\n", args.latency_proxy));
     out.push_str(&format!("    \"arrival\": {},\n", json_str(&format!("{:?}", args.arrival))));
     out.push_str(&format!("    \"phases\": {},\n", json_str(&args.phases)));
     out.push_str(&format!("    \"cache_entries\": {},\n", args.cache_entries));
@@ -1826,9 +1753,6 @@ fn render_json(
         out.push_str(&format!("    \"dsu_resizes\": {},\n", s.index.dsu_resizes));
         out.push_str(&format!("    \"cut_recomputes\": {},\n", s.cut_recomputes));
         out.push_str(&format!("    \"cut_certified_skips\": {},\n", s.cut_certified_skips));
-        out.push_str(&format!("    \"batches\": {},\n", s.batches));
-        out.push_str(&format!("    \"batched_reads\": {},\n", s.batched_reads));
-        out.push_str(&format!("    \"cross_batches\": {},\n", s.cross_batches));
         out.push_str(&format!("    \"kernel_builds\": {},\n", s.index.kernel_builds));
         out.push_str(&format!("    \"kernel_reuses\": {},\n", s.index.kernel_reuses));
         out.push_str(&format!("    \"kernel_patches\": {},\n", s.index.kernel_patches));
@@ -1913,14 +1837,13 @@ fn render_json(
                 out.push_str(&format!(
                     "    {{\"shard\": {shard}, \"routed\": {routed}, \"serve_nanos\": {}, \
                      \"queries\": {}, \"mutations\": {}, \"hit_rate\": {:.4}, \
-                     \"migrations_in\": {}, \"migrations_out\": {}, \"steal_batches\": {}}}{}\n",
+                     \"migrations_in\": {}, \"migrations_out\": {}}}{}\n",
                     s.serve_nanos,
                     s.queries,
                     s.mutations,
                     s.hit_rate(),
                     s.migrations_in,
                     s.migrations_out,
-                    s.steal_batches,
                     if shard == last { "" } else { "," },
                 ));
             }

@@ -19,14 +19,11 @@
 //!   name), per-graph request order is preserved, cross-graph requests
 //!   run concurrently, and the response stream is byte-identical to the
 //!   single-threaded engine's for any shard count. With
-//!   [`ShardOptions::batch`], workers drain queued runs of same-graph
-//!   queries into read batches that share one index snapshot. With
 //!   [`PlacementOptions`], the router *adapts*: per-graph load accounting
 //!   drives graph migrations off overloaded shards at safe epochs (the
 //!   whole entry — index, epoch, warmed cache — moves behind a per-graph
-//!   barrier), and idle workers steal tail runs of same-graph queries
-//!   from the longest queue. Neither changes a response; see
-//!   `docs/SHARDING.md` for the protocols and the determinism argument.
+//!   barrier). Migration never changes a response; see
+//!   `docs/SHARDING.md` for the protocol and the determinism argument.
 //!
 //! A third front lives out-of-crate: the `cut_server` crate's
 //! `cut-server` binary serves a [`ShardedEngine`] over TCP, speaking
@@ -41,7 +38,7 @@
 //! mutation, shared by all reads in between), an incremental DSU so
 //! `Connectivity` skips BFS, running degree/weight summaries, and an LRU
 //! query cache. [`EngineStats`] reports how much work the layer absorbed
-//! (builds avoided, DSU fast-path hits, evictions, batch sizes).
+//! (builds avoided, DSU fast-path hits, evictions).
 //!
 //! The [`workload`] module generates seeded, replayable request streams:
 //! closed-loop (weighted action mix + Zipf graph-popularity skew) or
@@ -114,8 +111,7 @@ pub use cut_index::{GraphSummary, IndexStats, LruCache};
 pub use cut_obs::{
     span_flags, Clock, Histogram, MonotonicClock, Registry, SlowLog, Span, TestClock,
 };
-pub use engine::BATCH_BUCKET_LABELS;
-pub use engine::{batch_bucket, Engine, EngineConfig, EngineStats, GraphExport, BATCH_BUCKETS};
+pub use engine::{Engine, EngineConfig, EngineStats, GraphExport};
 pub use pool::{CutLoan, CutPool};
 pub use request::{GraphSpec, Mutation, Query, Request, Response, QUERY_KINDS};
 pub use shard::{PlacementOptions, PlacementReport, ShardOptions, ShardedEngine, Ticket};

@@ -1,9 +1,8 @@
 //! The borrowed-worker pool: idle shard workers lend compute capacity
 //! to whoever is running an expensive cut.
 //!
-//! Same loan discipline as the work-stealing protocol (PR 4): capacity
-//! moves with an explicit grant and comes back when the borrower is
-//! done — the return rides the [`CutLoan`] drop, so a panicking
+//! Capacity moves with an explicit grant and comes back when the
+//! borrower is done — the return rides the [`CutLoan`] drop, so a panicking
 //! borrower still gives the capacity back. The loan carries only a
 //! *count*: borrowed workers are OS threads the borrower spawns itself
 //! (`mincut_core::par_approx_min_cut`), sized by how many shard workers

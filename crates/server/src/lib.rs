@@ -24,9 +24,9 @@
 //! critical section per request, so concurrent sessions interleave at
 //! request granularity and per-connection order is preserved), while its
 //! writer thread resolves tickets in order and streams the response
-//! lines back. All placement machinery — shards, batching, rebalancing,
-//! stealing, the latency proxy — is configured at construction via
-//! [`ShardOptions`] and works unchanged underneath the socket layer.
+//! lines back. All placement machinery — shards and rebalancing — is
+//! configured at construction via [`ShardOptions`] and works unchanged
+//! underneath the socket layer.
 //!
 //! **Graceful drain** ([`ServerHandle::shutdown`], the SIGTERM-equivalent
 //! — the `cut-server` binary triggers it from a `shutdown` line on
@@ -65,7 +65,7 @@ pub const PROTOCOL_VERSION: &str = "cut/1";
 pub struct ServerConfig {
     /// Worker shards of the underlying [`ShardedEngine`].
     pub shards: usize,
-    /// Per-shard engine configuration plus batching/placement flags.
+    /// Per-shard engine configuration plus placement flags.
     pub opts: ShardOptions,
     /// Accepted-connection cap: connection `max_conns + 1` is refused
     /// with an `error server at capacity …` line, not queued.

@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! cargo run --release -p cut_server --bin cut-server -- \
-//!     --addr 127.0.0.1:7641 --shards 4 --rebalance --steal
+//!     --addr 127.0.0.1:7641 --shards 4 --rebalance
 //! ```
 //!
 //! All engine-side flags of the stress harness are exposed here, because
 //! under a network split they are *server* properties: `--shards N`,
-//! `--batch`, `--rebalance`, `--rebalance-window N`, `--steal`,
-//! `--latency-proxy`, `--cache-entries N`. Serving-layer flags:
+//! `--rebalance`, `--rebalance-window N`, `--cache-entries N`.
+//! Serving-layer flags:
 //! `--addr HOST:PORT`, `--max-conns N`, `--idle-timeout-ms N`, and
 //! `--log PATH` (the deterministic operation log, byte-comparable to an
 //! in-process `stress --dump-log` run — the CI loopback gate).
@@ -40,11 +40,8 @@ use cut_store::{Store, StoreOptions};
 struct Args {
     addr: String,
     shards: usize,
-    batch: bool,
     rebalance: bool,
     rebalance_window: usize,
-    steal: bool,
-    latency_proxy: bool,
     cache_entries: usize,
     max_conns: usize,
     idle_timeout_ms: u64,
@@ -62,11 +59,8 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7641".to_string(),
         shards: 1,
-        batch: false,
         rebalance: false,
         rebalance_window: PlacementOptions::default().window,
-        steal: false,
-        latency_proxy: false,
         cache_entries: EngineConfig::default().max_cache_entries,
         max_conns: defaults.max_conns,
         idle_timeout_ms: defaults.idle_timeout.as_millis() as u64,
@@ -91,14 +85,11 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => {
                 args.shards = value(&mut i)?.parse().map_err(|e| format!("--shards: {e}"))?
             }
-            "--batch" => args.batch = true,
             "--rebalance" => args.rebalance = true,
             "--rebalance-window" => {
                 args.rebalance_window =
                     value(&mut i)?.parse().map_err(|e| format!("--rebalance-window: {e}"))?
             }
-            "--steal" => args.steal = true,
-            "--latency-proxy" => args.latency_proxy = true,
             "--cache-entries" => {
                 args.cache_entries =
                     value(&mut i)?.parse().map_err(|e| format!("--cache-entries: {e}"))?
@@ -128,9 +119,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "cut-server --addr HOST:PORT [--shards N] [--batch] [--rebalance] \
-                     [--rebalance-window N] [--steal] [--latency-proxy] [--cache-entries N] \
-                     [--max-conns N] [--idle-timeout-ms N] [--log PATH] [--data-dir PATH] \
+                    "cut-server --addr HOST:PORT [--shards N] [--rebalance] \
+                     [--rebalance-window N] [--cache-entries N] [--max-conns N] \
+                     [--idle-timeout-ms N] [--log PATH] [--data-dir PATH] \
                      [--snapshot-every N] [--resident-cap N] [--fsync] \
                      [--metrics-out PATH] [--metrics-every MS]\n\
                      send 'shutdown' on stdin for a graceful drain"
@@ -215,12 +206,9 @@ fn main() {
                 resident_cap: args.resident_cap,
                 ..EngineConfig::default()
             },
-            batch: args.batch,
             placement: PlacementOptions {
                 rebalance: args.rebalance,
                 window: args.rebalance_window,
-                steal: args.steal,
-                latency_proxy: args.latency_proxy,
                 ..PlacementOptions::default()
             },
             store: store.map(|s| s as Arc<dyn cut_engine::GraphStore>),
@@ -241,14 +229,10 @@ fn main() {
         }
     };
     println!(
-        "cut-server listening on {} (shards={} batch={} rebalance={} steal={} latency-proxy={} \
-         max-conns={} idle-timeout={}ms{})",
+        "cut-server listening on {} (shards={} rebalance={} max-conns={} idle-timeout={}ms{})",
         server.local_addr(),
         args.shards,
-        args.batch,
         args.rebalance,
-        args.steal,
-        args.latency_proxy,
         args.max_conns,
         args.idle_timeout_ms,
         args.log.as_deref().map(|p| format!(" log={p}")).unwrap_or_default(),

@@ -388,18 +388,16 @@ fn reconnect_with_retry_rides_out_a_late_server_start() {
 }
 
 /// The engine options plumb through the server construction unchanged —
-/// a batched, rebalancing server still answers exactly like the plain
-/// engine (spot check; the full equivalence is the CI loopback gate).
+/// a rebalancing server still answers exactly like the plain engine
+/// (spot check; the full equivalence is the CI loopback gate).
 #[test]
 fn adaptive_server_options_do_not_change_responses() {
     use cut_engine::PlacementOptions;
     let cfg = ServerConfig {
         shards: 4,
         opts: ShardOptions {
-            batch: true,
             placement: PlacementOptions {
                 rebalance: true,
-                steal: true,
                 window: 6,
                 ..PlacementOptions::default()
             },

@@ -179,21 +179,25 @@ proptest! {
         }
     }
 
-    /// For any random workload and any shard count, the sharded engine's
-    /// response stream (pipelined, collected in submission order) is
-    /// element-wise identical to the single-threaded engine's.
+    /// For any random workload (write-heavy or read-only) and any shard
+    /// count, the sharded engine's response stream (pipelined, collected
+    /// in submission order) is element-wise identical to the
+    /// single-threaded engine's.
     #[test]
     fn sharded_engine_matches_unsharded_on_random_workloads(
         seed in any::<u64>(),
         ops in 40usize..120,
         shards in 1usize..6,
+        mix in any::<bool>().prop_map(|read_only| {
+            if read_only { ActionMix::read_only() } else { ActionMix::write_heavy() }
+        }),
     ) {
         let cfg = WorkloadConfig {
             ops,
             seed,
             graphs: 5,
             initial_n: 16,
-            mix: ActionMix::write_heavy(),
+            mix,
             ..WorkloadConfig::default()
         };
         let workload = Workload::generate(&cfg);
@@ -210,11 +214,14 @@ proptest! {
         prop_assert_eq!(&got, &expected);
 
         // Per-shard stats must sum to the reference engine's counters.
-        let per_shard = sharded.shutdown();
-        let queries: u64 = per_shard.iter().map(|s| s.queries).sum();
-        let mutations: u64 = per_shard.iter().map(|s| s.mutations).sum();
-        prop_assert_eq!(queries, reference.stats().queries);
-        prop_assert_eq!(mutations, reference.stats().mutations);
+        let mut total = cut_engine::EngineStats::default();
+        for s in sharded.shutdown() {
+            total.merge(&s);
+        }
+        prop_assert_eq!(total.queries, reference.stats().queries);
+        prop_assert_eq!(total.cache_hits, reference.stats().cache_hits);
+        prop_assert_eq!(total.mutations, reference.stats().mutations);
+        prop_assert_eq!(total.index.csr_builds, reference.stats().index.csr_builds);
     }
 
     /// The index layer's DSU-backed `Connectivity` answers equal BFS on a
@@ -273,65 +280,16 @@ proptest! {
         }
     }
 
-    /// Batched execution (read runs share one index snapshot, mutations
-    /// are barriers) produces a response stream element-wise identical to
-    /// the unbatched single-threaded engine — at one shard and several.
-    #[test]
-    fn batched_execution_matches_unbatched(
-        seed in any::<u64>(),
-        ops in 40usize..120,
-        four_shards in any::<bool>(),
-    ) {
-        // Exercise exactly the two shapes the CI gate pins: one shard
-        // (pure batching) and four (batching under cross-shard routing).
-        let shards = if four_shards { 4usize } else { 1 };
-        let cfg = WorkloadConfig {
-            ops,
-            seed,
-            graphs: 5,
-            initial_n: 16,
-            ..WorkloadConfig::default()
-        };
-        let workload = Workload::generate(&cfg);
-
-        let mut reference = Engine::new();
-        let expected: Vec<Response> =
-            workload.all_requests().map(|r| reference.execute(r.clone())).collect();
-
-        let mut batched = ShardedEngine::with_options(
-            shards,
-            ShardOptions { batch: true, ..ShardOptions::default() },
-        );
-        let tickets: Vec<_> =
-            workload.all_requests().map(|r| batched.submit(r.clone())).collect();
-        let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
-        prop_assert_eq!(&got, &expected);
-
-        // Batching changes cost accounting, never the served counters.
-        let mut total = cut_engine::EngineStats::default();
-        for s in batched.shutdown() {
-            total.merge(&s);
-        }
-        prop_assert_eq!(total.queries, reference.stats().queries);
-        prop_assert_eq!(total.cache_hits, reference.stats().cache_hits);
-        prop_assert_eq!(total.mutations, reference.stats().mutations);
-        prop_assert_eq!(total.index.csr_builds, reference.stats().index.csr_builds);
-    }
-
     /// Adaptive placement under fire: with an aggressive rebalance window
-    /// (migrations every few submissions) and stealing enabled, the
-    /// pipelined response stream — broadcasts injected — must stay
-    /// element-wise identical to the single-threaded engine for any shard
-    /// count, batching on or off; and the served counters must survive the
-    /// migration/steal accounting (stolen-run deltas merge on the owning
-    /// shard, migration counters balance).
+    /// (migrations every few submissions), the pipelined response stream
+    /// — broadcasts injected — must stay element-wise identical to the
+    /// single-threaded engine for any shard count; and the served counters
+    /// must survive the migration accounting (migration counters balance).
     #[test]
-    fn rebalanced_stealing_engine_matches_unsharded_on_random_workloads(
+    fn rebalanced_engine_matches_unsharded_on_random_workloads(
         seed in any::<u64>(),
         ops in 40usize..120,
         shards in 1usize..5,
-        batch in any::<bool>(),
-        latency_proxy in any::<bool>(),
     ) {
         let cfg = WorkloadConfig {
             ops,
@@ -341,8 +299,8 @@ proptest! {
             ..WorkloadConfig::default()
         };
         let workload = Workload::generate(&cfg);
-        // Inject broadcasts so reclaim barriers and merged partials are
-        // exercised mid-stream, not just at quiet points.
+        // Inject broadcasts so merged partials are exercised mid-stream,
+        // not just at quiet points.
         let mut requests: Vec<Request> = Vec::new();
         for (i, r) in workload.all_requests().enumerate() {
             requests.push(r.clone());
@@ -362,14 +320,11 @@ proptest! {
             rebalance: true,
             window: 6,
             max_moves: 4,
-            steal: true,
-            steal_min: 2,
-            latency_proxy,
             ..PlacementOptions::default()
         };
         let mut sharded = ShardedEngine::with_options(
             shards,
-            ShardOptions { batch, placement, ..ShardOptions::default() },
+            ShardOptions { placement, ..ShardOptions::default() },
         );
         let tickets: Vec<_> = requests.iter().map(|r| sharded.submit(r.clone())).collect();
         let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
