@@ -23,9 +23,7 @@
 //! `Engine::execute` path; `--shards N` pipelines the same stream through
 //! an N-worker `ShardedEngine` (submission-order responses, so the digest
 //! is identical for any shard count) and additionally reports per-shard
-//! occupancy. `--rebalance` turns on adaptive placement (graph
-//! migration). It never changes a response, so the digest is invariant
-//! across every flag combination.
+//! occupancy. The digest is invariant across every flag combination.
 //!
 //! A workload can be saved and replayed byte-identically: `--trace-out
 //! PATH` writes the timestamped request stream, `--trace-in PATH` replays
@@ -39,9 +37,11 @@
 //! latency, and a per-connection throughput table is reported. At one
 //! connection the operation log — and therefore the digest — is
 //! byte-identical to an in-process run of the same flags, which is the
-//! CI loopback gate. Engine-side flags (`--shards`, `--rebalance`,
-//! `--cache-entries`) are *server* properties under a network split: pass
-//! them to `cut-server`, not to a `--remote` stress run.
+//! CI loopback gate. `--shards` and `--cache-entries` are *server*
+//! properties under a network split: pass them to `cut-server`, not to a
+//! `--remote` stress run. `--no-dynconn`, `--kernel` and
+//! `--kernel-threshold` are in-process only: `cut-server` has no such
+//! flags, and `--remote` rejects them.
 //!
 //! `--json-out PATH` writes the whole report as a machine-readable
 //! `BENCH_*.json` artifact with the same schema (`cut-stress/1`) local
@@ -61,7 +61,7 @@
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --seed 7
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --seed 7 --shards 4
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --seed 7 --shards 4 \
-//!     --phases bursty --arrival poisson:20000 --rebalance
+//!     --phases bursty --arrival poisson:20000
 //! cargo run --release -p cut_bench --bin stress -- --ops 10000 --trace-out /tmp/run.trace
 //! cargo run --release -p cut_bench --bin stress -- --trace-in /tmp/run.trace --shards 4
 //! cargo run --release -p cut_server --bin cut-server -- --shards 4 &
@@ -71,15 +71,14 @@
 //!
 //! Flags: `--ops N` `--seed S` `--graphs G` `--initial-n N` `--zipf Z`
 //! `--mix default|read-only|write-heavy` `--shards N`
-//! `--rebalance` `--rebalance-window N`
 //! `--arrival closed|steady:R|poisson:R|bursts:B:P|diurnal:L:H`
 //! `--phases single|bursty|diurnal|flash` `--trace-out PATH`
 //! `--trace-in PATH` `--cache-entries N` `--dump-log PATH`
 //! `--remote ADDR` `--connections N` `--json-out PATH`
 //! `--metrics-out PATH` `--metrics-text PATH`. See
 //! `docs/WORKLOADS.md` for the workload model, `docs/SHARDING.md` for
-//! placement tuning, and `docs/PROTOCOL.md` for the wire format behind
-//! `--remote`.
+//! routing and the determinism argument, and `docs/PROTOCOL.md` for the
+//! wire format behind `--remote`.
 //!
 //! **Durable mode** (`--data-dir PATH`, plus `--snapshot-every N`,
 //! `--resident-cap N`, `--fsync`): the engine write-ahead logs every
@@ -99,9 +98,9 @@ use std::time::{Duration, Instant};
 
 use cut_client::{ClientError, Connection, ReconnectPolicy, RemoteTicket};
 use cut_engine::{
-    ActionMix, ArrivalProcess, Engine, EngineConfig, EngineStats, GraphStore, Histogram,
-    PlacementOptions, PlacementReport, Registry, Request, Response, ShardOptions, ShardedEngine,
-    Ticket, Timeline, Workload, WorkloadConfig, QUERY_KINDS,
+    ActionMix, ArrivalProcess, Engine, EngineConfig, EngineStats, GraphStore, Histogram, Registry,
+    Request, Response, ShardOptions, ShardedEngine, Ticket, Timeline, Workload, WorkloadConfig,
+    QUERY_KINDS,
 };
 // FNV-1a over the log bytes — stable across runs and platforms.
 use cut_graph::hash::fnv1a;
@@ -187,8 +186,6 @@ struct Args {
     mix: ActionMix,
     mix_name: String,
     shards: usize,
-    rebalance: bool,
-    rebalance_window: usize,
     arrival: ArrivalArg,
     phases: String,
     trace_out: Option<String>,
@@ -219,8 +216,6 @@ fn parse_args() -> Result<Args, String> {
         mix: ActionMix::default(),
         mix_name: "default".to_string(),
         shards: 1,
-        rebalance: false,
-        rebalance_window: PlacementOptions::default().window,
         arrival: ArrivalArg::Closed,
         phases: "single".to_string(),
         trace_out: None,
@@ -271,11 +266,6 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => {
                 args.shards = value(&mut i)?.parse().map_err(|e| format!("--shards: {e}"))?
             }
-            "--rebalance" => args.rebalance = true,
-            "--rebalance-window" => {
-                args.rebalance_window =
-                    value(&mut i)?.parse().map_err(|e| format!("--rebalance-window: {e}"))?
-            }
             "--arrival" => args.arrival = ArrivalArg::parse(&value(&mut i)?)?,
             "--phases" => args.phases = value(&mut i)?,
             "--trace-out" => args.trace_out = Some(value(&mut i)?),
@@ -314,7 +304,6 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "stress --ops N --seed S [--graphs G] [--initial-n N] [--zipf Z] \
                      [--mix default|read-only|write-heavy] [--shards N] \
-                     [--rebalance] [--rebalance-window N] \
                      [--arrival closed|steady:R|poisson:R|bursts:B:P|diurnal:L:H] \
                      [--phases single|bursty|diurnal|flash|write-storm|whale] \
                      [--trace-out PATH] [--trace-in PATH] [--cache-entries N] [--no-dynconn] \
@@ -344,9 +333,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.cache_entries == 0 {
         return Err("--cache-entries must be at least 1".into());
-    }
-    if args.rebalance_window == 0 {
-        return Err("--rebalance-window must be at least 1".into());
     }
     if !matches!(
         args.phases.as_str(),
@@ -394,17 +380,17 @@ fn parse_args() -> Result<Args, String> {
     if args.remote.is_some() {
         // Under a network split the engine lives in the server process;
         // accepting these here would silently configure nothing.
-        let engine_flags_touched = args.shards != 1
-            || args.rebalance
-            || args.rebalance_window != PlacementOptions::default().window
-            || args.cache_entries != EngineConfig::default().max_cache_entries
-            || args.no_dynconn
+        if args.shards != 1 || args.cache_entries != EngineConfig::default().max_cache_entries {
+            return Err("--remote drives a cut-server: --shards and --cache-entries belong on \
+                 the cut-server command line, not here"
+                .into());
+        }
+        if args.no_dynconn
             || args.kernel
-            || args.kernel_threshold != EngineConfig::default().kernel_threshold;
-        if engine_flags_touched {
-            return Err("--remote drives a cut-server: engine flags (--shards, --rebalance, \
-                 --rebalance-window, --cache-entries, --no-dynconn, --kernel, \
-                 --kernel-threshold) belong on the cut-server command line, not here"
+            || args.kernel_threshold != EngineConfig::default().kernel_threshold
+        {
+            return Err("--remote drives a cut-server: --no-dynconn, --kernel and \
+                 --kernel-threshold are in-process only (cut-server has no such flags)"
                 .into());
         }
     }
@@ -502,14 +488,13 @@ fn main() {
     // (the trace does) — print only what is actually in effect.
     if let Some(path) = &args.trace_in {
         println!(
-            "cut-engine stress: trace={path} shards={} rebalance={} cache-entries={} \
-             dynconn={} kernel={}",
-            args.shards, args.rebalance, args.cache_entries, !args.no_dynconn, args.kernel
+            "cut-engine stress: trace={path} shards={} cache-entries={} dynconn={} kernel={}",
+            args.shards, args.cache_entries, !args.no_dynconn, args.kernel
         );
     } else {
         println!(
             "cut-engine stress: ops={} seed={} graphs={} initial-n={} zipf={} mix={} shards={} \
-             rebalance={} arrival={:?} phases={} cache-entries={} dynconn={} kernel={}",
+             arrival={:?} phases={} cache-entries={} dynconn={} kernel={}",
             args.ops,
             args.seed,
             args.graphs,
@@ -517,7 +502,6 @@ fn main() {
             args.zipf,
             args.mix_name,
             args.shards,
-            args.rebalance,
             args.arrival,
             args.phases,
             args.cache_entries,
@@ -583,18 +567,12 @@ fn main() {
         kernel_threshold: args.kernel_threshold,
         ..EngineConfig::default()
     };
-    let placement = PlacementOptions {
-        rebalance: args.rebalance,
-        window: args.rebalance_window,
-        ..PlacementOptions::default()
-    };
     let opts = ShardOptions {
         cfg: engine_cfg.clone(),
-        placement,
         store: store.clone().map(|s| s as Arc<dyn GraphStore>),
         ..ShardOptions::default()
     };
-    let sharded_path = args.shards > 1 || args.rebalance || workload.is_open_loop();
+    let sharded_path = args.shards > 1 || workload.is_open_loop();
     let mut report = if let Some(addr) = &args.remote {
         println!("remote: driving cut-server at {addr} over {} connection(s)", args.connections);
         if workload.is_open_loop() {
@@ -714,25 +692,14 @@ fn main() {
         let busy_total: u64 = occupancy.iter().map(|(_, s)| s.serve_nanos).sum::<u64>().max(1);
         println!();
         println!(
-            "{:<8} {:>8} {:>7} {:>7} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7}",
-            "shard",
-            "routed",
-            "share",
-            "busy",
-            "graphs",
-            "queries",
-            "mutations",
-            "hit-rate",
-            "mig-in",
-            "mig-out"
+            "{:<8} {:>8} {:>7} {:>7} {:>7} {:>9} {:>9} {:>9}",
+            "shard", "routed", "share", "busy", "graphs", "queries", "mutations", "hit-rate"
         );
         for (shard, (routed, s)) in occupancy.iter().enumerate() {
-            // Graphs owned now: arrivals (creates + migrations in) minus
-            // departures (drops + migrations out).
-            let owned = (s.graphs_created + s.migrations_in) as i64
-                - (s.graphs_dropped + s.migrations_out) as i64;
+            // Graphs owned now: creates minus drops.
+            let owned = s.graphs_created as i64 - s.graphs_dropped as i64;
             println!(
-                "{:<8} {:>8} {:>6.1}% {:>6.1}% {:>7} {:>9} {:>9} {:>8.1}% {:>7} {:>7}",
+                "{:<8} {:>8} {:>6.1}% {:>6.1}% {:>7} {:>9} {:>9} {:>8.1}%",
                 shard,
                 routed,
                 *routed as f64 / routed_total as f64 * 100.0,
@@ -741,8 +708,6 @@ fn main() {
                 s.queries,
                 s.mutations,
                 s.hit_rate() * 100.0,
-                s.migrations_in,
-                s.migrations_out,
             );
         }
         let max_share = occupancy.iter().map(|(r, _)| *r).max().unwrap_or(0) as f64
@@ -754,22 +719,6 @@ fn main() {
         println!(
             "max shard occupancy: {max_share:.1}% of routed requests, {max_busy:.1}% of busy time"
         );
-    }
-
-    if let Some(placement) = &report.placement {
-        println!();
-        println!(
-            "placement: {} rebalances, {} migrations (generation {})",
-            placement.rebalances, placement.migrations, placement.generation,
-        );
-        if !placement.assignments.is_empty() {
-            let assignment: Vec<String> = placement
-                .assignments
-                .iter()
-                .map(|(name, shard)| format!("{name}->s{shard}"))
-                .collect();
-            println!("final assignment: {}", assignment.join("  "));
-        }
     }
 
     if let Some(conn_stats) = &report.connections {
@@ -995,8 +944,6 @@ struct RunReport {
     latencies: Option<BTreeMap<&'static str, Vec<u64>>>,
     /// `(requests routed, final per-shard stats)` — sharded path only.
     occupancy: Option<Vec<(u64, cut_engine::EngineStats)>>,
-    /// Adaptive-placement summary — sharded path only.
-    placement: Option<PlacementReport>,
     /// Latency-under-load measurements — open-loop path only.
     open: Option<OpenLoopReport>,
     /// `(ops submitted, error responses)` per connection — remote path
@@ -1052,7 +999,6 @@ fn run_single(workload: &Workload, cfg: EngineConfig, store: Option<Arc<Store>>)
         stats: engine.stats(),
         latencies: Some(latencies),
         occupancy: None,
-        placement: None,
         open: None,
         connections: None,
         metrics: Some(metrics),
@@ -1064,9 +1010,6 @@ fn run_single(workload: &Workload, cfg: EngineConfig, store: Option<Arc<Store>>)
 /// are collected in submission order, so the log (and its digest) is
 /// byte-identical to the single-shard path.
 fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunReport {
-    // The placement section only belongs in reports where the adaptive
-    // layer was on; a plain --shards run keeps its old shape.
-    let adaptive = opts.placement.rebalance;
     /// In-flight cap: deep enough to keep every shard busy, small enough
     /// that pending tickets never hold more than a sliver of the log.
     const WINDOW: usize = 1024;
@@ -1103,7 +1046,6 @@ fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunRep
     let metrics = decode_metrics(engine.submit(Request::Metrics).wait());
 
     let routed = engine.routed().to_vec();
-    let placement = engine.placement_report();
     let per_shard = engine.shutdown();
     let mut stats = cut_engine::EngineStats::default();
     for s in &per_shard {
@@ -1117,7 +1059,6 @@ fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunRep
         stats,
         latencies: None,
         occupancy: Some(routed.into_iter().zip(per_shard).collect()),
-        placement: adaptive.then_some(placement),
         open: None,
         connections: None,
         metrics: Some(metrics),
@@ -1135,7 +1076,6 @@ fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunRep
 /// when they happen, not when an earlier slow request finally resolves.
 fn run_open_loop(workload: &Workload, shards: usize, opts: ShardOptions) -> RunReport {
     assert!(workload.is_open_loop(), "open-loop replay needs an arrival schedule");
-    let adaptive = opts.placement.rebalance;
     let mut engine = ShardedEngine::with_options(shards, opts);
     let mut log = String::with_capacity(workload.len() * 64);
     let mut errors = 0usize;
@@ -1309,7 +1249,6 @@ fn run_open_loop(workload: &Workload, shards: usize, opts: ShardOptions) -> RunR
         .collect();
 
     let routed = engine.routed().to_vec();
-    let placement = engine.placement_report();
     let per_shard = engine.shutdown();
     let mut stats = cut_engine::EngineStats::default();
     for s in &per_shard {
@@ -1323,7 +1262,6 @@ fn run_open_loop(workload: &Workload, shards: usize, opts: ShardOptions) -> RunR
         stats,
         latencies: None,
         occupancy: Some(routed.into_iter().zip(per_shard).collect()),
-        placement: adaptive.then_some(placement),
         open: Some(OpenLoopReport {
             phases,
             horizon_nanos: workload.arrivals.last().copied().unwrap_or(0),
@@ -1441,7 +1379,6 @@ fn run_remote_closed(workload: &Workload, addr: &str, connections: usize) -> Run
         stats: EngineStats::default(),
         latencies: None,
         occupancy: None,
-        placement: None,
         open: None,
         connections: Some(conn_stats),
         metrics: Some(metrics),
@@ -1636,7 +1573,6 @@ fn run_remote_open(workload: &Workload, addr: &str, connections: usize) -> RunRe
         stats: EngineStats::default(),
         latencies: None,
         occupancy: None,
-        placement: None,
         open: Some(OpenLoopReport {
             phases,
             horizon_nanos: workload.arrivals.last().copied().unwrap_or(0),
@@ -1709,8 +1645,6 @@ fn render_json(
     out.push_str(&format!("    \"zipf\": {},\n", args.zipf));
     out.push_str(&format!("    \"mix\": {},\n", json_str(&args.mix_name)));
     out.push_str(&format!("    \"shards\": {},\n", args.shards));
-    out.push_str(&format!("    \"rebalance\": {},\n", args.rebalance));
-    out.push_str(&format!("    \"rebalance_window\": {},\n", args.rebalance_window));
     out.push_str(&format!("    \"arrival\": {},\n", json_str(&format!("{:?}", args.arrival))));
     out.push_str(&format!("    \"phases\": {},\n", json_str(&args.phases)));
     out.push_str(&format!("    \"cache_entries\": {},\n", args.cache_entries));
@@ -1836,28 +1770,17 @@ fn render_json(
             for (shard, (routed, s)) in occupancy.iter().enumerate() {
                 out.push_str(&format!(
                     "    {{\"shard\": {shard}, \"routed\": {routed}, \"serve_nanos\": {}, \
-                     \"queries\": {}, \"mutations\": {}, \"hit_rate\": {:.4}, \
-                     \"migrations_in\": {}, \"migrations_out\": {}}}{}\n",
+                     \"queries\": {}, \"mutations\": {}, \"hit_rate\": {:.4}}}{}\n",
                     s.serve_nanos,
                     s.queries,
                     s.mutations,
                     s.hit_rate(),
-                    s.migrations_in,
-                    s.migrations_out,
                     if shard == last { "" } else { "," },
                 ));
             }
             out.push_str("  ],\n");
         }
         None => out.push_str("  \"occupancy\": null,\n"),
-    }
-
-    match &report.placement {
-        Some(p) => out.push_str(&format!(
-            "  \"placement\": {{\"rebalances\": {}, \"migrations\": {}, \"generation\": {}}},\n",
-            p.rebalances, p.migrations, p.generation
-        )),
-        None => out.push_str("  \"placement\": null,\n"),
     }
 
     // Request-lifecycle telemetry from the end-of-run `stats metrics`

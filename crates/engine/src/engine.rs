@@ -57,8 +57,8 @@ pub struct EngineConfig {
     pub max_cache_entries: usize,
     /// Resident-graph budget: with an attached store, at most this many
     /// graphs are kept in memory; the coldest (by windowed request-cost
-    /// heat, the same currency the placement rebalancer tracks) are
-    /// spilled to the store and faulted back on access. `0` = unlimited
+    /// heat, see [`Request::cost_weight`]) are spilled to the store and
+    /// faulted back on access. `0` = unlimited
     /// (no spilling). Ignored without a store.
     pub resident_cap: usize,
     /// Serve connectivity from the dynamic forest's O(1) labels and gate
@@ -108,9 +108,9 @@ impl Default for EngineConfig {
 /// rarely amortize the thread spawns on the CI box's core counts.
 const MAX_KERNEL_HELPERS: usize = 4;
 
-/// Named ops between residency-heat half-life decays — the same window
-/// length the placement table defaults to, so "cold" means the same thing
-/// to the spiller as it does to the rebalancer.
+/// Named ops between residency-heat half-life decays: heat charged in one
+/// window counts half in the next, so the spiller ranks graphs by recent
+/// traffic.
 const RESIDENCY_WINDOW: u64 = 512;
 
 /// Engine-level counters.
@@ -137,12 +137,6 @@ pub struct EngineStats {
     /// CSR snapshot reuses — builds avoided — per query kind (indexed by
     /// [`Query::kind_index`]).
     pub reuse_by_kind: [u64; QUERY_KINDS.len()],
-    /// Graphs this engine received through [`Engine::import_graph`] — on a
-    /// shard, migrations that landed here.
-    pub migrations_in: u64,
-    /// Graphs this engine gave up through [`Engine::export_graph`] — on a
-    /// shard, migrations that left here.
-    pub migrations_out: u64,
     /// Nanoseconds spent actually serving requests. Filled by the sharded
     /// front-end's workers (the plain engine does not time itself).
     /// Per-shard values give the busy-time occupancy the stress report
@@ -196,8 +190,6 @@ impl EngineStats {
             index,
             builds_by_kind,
             reuse_by_kind,
-            migrations_in,
-            migrations_out,
             serve_nanos,
             cut_recomputes,
             cut_certified_skips,
@@ -219,8 +211,6 @@ impl EngineStats {
         for (mine, theirs) in self.reuse_by_kind.iter_mut().zip(reuse_by_kind) {
             *mine += theirs;
         }
-        self.migrations_in += migrations_in;
-        self.migrations_out += migrations_out;
         self.serve_nanos += serve_nanos;
         self.cut_recomputes += cut_recomputes;
         self.cut_certified_skips += cut_certified_skips;
@@ -247,8 +237,6 @@ impl EngineStats {
             index,
             builds_by_kind,
             reuse_by_kind,
-            migrations_in,
-            migrations_out,
             serve_nanos,
             cut_recomputes,
             cut_certified_skips,
@@ -275,8 +263,6 @@ impl EngineStats {
             reg.inc(&format!("engine_csr_builds_{kind}"), *builds);
             reg.inc(&format!("engine_csr_reuses_{kind}"), *reuses);
         }
-        reg.inc("engine_migrations_in", migrations_in);
-        reg.inc("engine_migrations_out", migrations_out);
         reg.inc("engine_serve_nanos_total", serve_nanos);
         reg.inc("engine_cut_recomputes", cut_recomputes);
         reg.inc("engine_cut_certified_skips", cut_certified_skips);
@@ -536,17 +522,6 @@ impl Engine {
         if !self.graphs.contains_key(name) {
             self.spilled.insert(name.to_string());
         }
-    }
-
-    /// True when `name` is owned here but currently spilled to the store.
-    pub fn is_spilled(&self, name: &str) -> bool {
-        self.spilled.contains(name)
-    }
-
-    /// Drop the spilled marker for `name` without touching the store —
-    /// the graph's ownership is moving elsewhere (shard migration).
-    pub(crate) fn forget_spilled(&mut self, name: &str) {
-        self.spilled.remove(name);
     }
 
     /// Engine-level counters.
@@ -833,11 +808,11 @@ impl Engine {
     }
 
     /// Detach a graph from this engine's registry for installation into
-    /// another engine — the unit of shard-to-shard **migration**. The
-    /// entire entry moves wholesale: edge list, index (CSR snapshot, DSU,
-    /// summaries), mutation epoch, and the warmed LRU query cache, so the
-    /// receiving engine answers exactly as this one would have. Counted in
-    /// [`EngineStats::migrations_out`]. Returns `None` for unknown names.
+    /// another engine, or for serialization with [`GraphExport::to_trace`]
+    /// (the snapshot codec). The entire entry moves wholesale: edge list,
+    /// index (CSR snapshot, DSU, summaries), mutation epoch, and the
+    /// warmed LRU query cache, so the receiving engine answers exactly as
+    /// this one would have. Returns `None` for unknown names.
     ///
     /// # Examples
     ///
@@ -854,7 +829,7 @@ impl Engine {
     /// let mut b = Engine::new();
     /// assert!(b.import_graph(export).is_ok());
     /// let r = b.execute(Request::Query { name: "ring".into(), query: Query::ExactMinCut });
-    /// assert!(r.was_cached(), "the warmed cache migrated wholesale");
+    /// assert!(r.was_cached(), "the warmed cache moved wholesale");
     ///
     /// // The source no longer knows the graph.
     /// let gone = a.execute(Request::Query { name: "ring".into(), query: Query::ExactMinCut });
@@ -862,13 +837,12 @@ impl Engine {
     /// ```
     pub fn export_graph(&mut self, name: &str) -> Option<GraphExport> {
         let entry = self.graphs.remove(name)?;
-        self.stats.migrations_out += 1;
         Some(GraphExport { name: name.to_string(), entry })
     }
 
     /// Install a graph previously detached with [`Engine::export_graph`].
     /// Fails (handing the export back untouched) if the name is already
-    /// registered here. Counted in [`EngineStats::migrations_in`].
+    /// registered here.
     // The whole point of the Err variant is returning the (large) entry to
     // the caller intact, so its size is the feature, not an accident.
     #[allow(clippy::result_large_err)]
@@ -876,7 +850,6 @@ impl Engine {
         if self.graphs.contains_key(&export.name) {
             return Err(export);
         }
-        self.stats.migrations_in += 1;
         let GraphExport { name, entry } = export;
         self.graphs.insert(name, entry);
         Ok(())
@@ -889,8 +862,8 @@ impl Engine {
     }
 }
 
-/// A graph detached from one [`Engine`], in flight to another — what a
-/// shard migration moves. Opaque: the entry inside keeps its epoch, index
+/// A graph detached from one [`Engine`], in flight to another engine or
+/// to a snapshot trace. Opaque: the entry inside keeps its epoch, index
 /// state, and query cache exactly as the source engine last saw them (see
 /// [`Engine::export_graph`] for a round-trip example).
 pub struct GraphExport {
@@ -911,8 +884,8 @@ impl GraphExport {
     }
 
     /// Serialize the export to the snapshot trace format — the on-disk
-    /// counterpart of the in-memory migration container, reusing the
-    /// request/response line codec for the cached-answers section:
+    /// form of the in-memory export, reusing the request/response line
+    /// codec for the cached-answers section:
     ///
     /// ```text
     /// graph <name> <n> <epoch>
@@ -1920,17 +1893,15 @@ mod tests {
         let export = a.export_graph("g").expect("graph registered");
         assert_eq!(export.name(), "g");
         assert_eq!(export.epoch(), 1, "epoch travels with the entry");
-        assert_eq!(a.stats().migrations_out, 1);
         assert_eq!(a.graph_count(), 0);
         assert!(a.export_graph("g").is_none(), "second export finds nothing");
 
         let mut b = Engine::new();
         assert!(b.import_graph(export).is_ok());
-        assert_eq!(b.stats().migrations_in, 1);
         assert_eq!(b.epoch("g"), Some(1));
         // The warmed cache moved: the same query is a hit on the new engine.
         let again = query(&mut b, "g", Query::ExactMinCut);
-        assert!(again.was_cached(), "cache must migrate wholesale");
+        assert!(again.was_cached(), "cache must move wholesale");
         assert_eq!(again.as_cached(), warmed.as_cached());
         // So does the index: connectivity fast-paths without a CSR build.
         assert!(matches!(
@@ -1956,7 +1927,6 @@ mod tests {
         create(&mut b, "g", GraphSpec::Cycle { n: 9 });
         let rejected = b.import_graph(export).expect_err("collision must fail");
         assert_eq!(rejected.name(), "g");
-        assert_eq!(b.stats().migrations_in, 0, "failed import must not count");
         // The rejected export is intact and installable elsewhere.
         let mut c = Engine::new();
         assert!(c.import_graph(rejected).is_ok());
@@ -2115,15 +2085,6 @@ mod tests {
             assert_eq!(query(&mut b, "g", q), query(&mut oracle, "g", q));
         }
         assert!(b.stats().index.kernel_builds >= 1, "import must rebuild the kernel");
-    }
-
-    #[test]
-    fn merge_folds_placement_counters() {
-        let mut total = EngineStats::default();
-        let part = EngineStats { migrations_in: 2, migrations_out: 3, ..EngineStats::default() };
-        total.merge(&part);
-        total.merge(&part);
-        assert_eq!((total.migrations_in, total.migrations_out), (4, 6));
     }
 
     #[test]

@@ -14,16 +14,11 @@
 //! - [`Engine`] — the single-threaded reference path: one registry, one
 //!   thread, deterministic end to end.
 //! - [`ShardedEngine`] (the [`shard`] module) — the scaling path: the
-//!   registry is partitioned across N worker threads through a
-//!   router-owned placement table (default: a stable hash of the graph
-//!   name), per-graph request order is preserved, cross-graph requests
-//!   run concurrently, and the response stream is byte-identical to the
-//!   single-threaded engine's for any shard count. With
-//!   [`PlacementOptions`], the router *adapts*: per-graph load accounting
-//!   drives graph migrations off overloaded shards at safe epochs (the
-//!   whole entry — index, epoch, warmed cache — moves behind a per-graph
-//!   barrier). Migration never changes a response; see
-//!   `docs/SHARDING.md` for the protocol and the determinism argument.
+//!   registry is partitioned across N worker threads by a stable hash of
+//!   the graph name, per-graph request order is preserved, requests to
+//!   graphs on different shards run concurrently, and the response
+//!   stream is byte-identical to the single-threaded engine's for any
+//!   shard count. See `docs/SHARDING.md` for the determinism argument.
 //!
 //! A third front lives out-of-crate: the `cut_server` crate's
 //! `cut-server` binary serves a [`ShardedEngine`] over TCP, speaking
@@ -114,7 +109,7 @@ pub use cut_obs::{
 pub use engine::{Engine, EngineConfig, EngineStats, GraphExport};
 pub use pool::{CutLoan, CutPool};
 pub use request::{GraphSpec, Mutation, Query, Request, Response, QUERY_KINDS};
-pub use shard::{PlacementOptions, PlacementReport, ShardOptions, ShardedEngine, Ticket};
+pub use shard::{ShardOptions, ShardedEngine, Ticket};
 pub use store_api::{GraphStore, RecoveredGraph};
 pub use workload::{
     ActionMix, ArrivalProcess, Phase, PopularityDrift, Timeline, Workload, WorkloadConfig,

@@ -280,12 +280,13 @@ impl Query {
     }
 
     /// Relative serve-cost weight of this query — the **serve-time proxy**
-    /// the sharded router's load accounting uses (it cannot observe real
-    /// serve times, since it never waits for responses). The scale is
-    /// arbitrary; only ratios matter. Deliberately coarse: a cache hit
-    /// costs far less than these weights suggest, which the placement
-    /// layer tolerates because rebalancing reacts to *relative* per-graph
-    /// load, not absolute cost.
+    /// behind residency heat under [`EngineConfig::resident_cap`]
+    /// (`docs/DURABILITY.md`). The scale is arbitrary; only ratios matter.
+    /// Deliberately coarse: a cache hit costs far less than these weights
+    /// suggest, which the spiller tolerates because it ranks graphs by
+    /// *relative* heat, not absolute cost.
+    ///
+    /// [`EngineConfig::resident_cap`]: crate::EngineConfig::resident_cap
     pub fn cost_weight(&self) -> u64 {
         match self {
             // DSU fast path: near-free.
@@ -641,8 +642,8 @@ impl Request {
     }
 
     /// Relative serve-cost weight of this request (see
-    /// [`Query::cost_weight`]): what the adaptive placement layer charges
-    /// a graph per routed request when accounting per-window load.
+    /// [`Query::cost_weight`]): what the engine charges a graph's
+    /// residency heat per named request.
     pub fn cost_weight(&self) -> u64 {
         match self {
             // Graph materialization plus index construction.
@@ -987,7 +988,7 @@ mod tests {
         assert!(exact.cost_weight() < kcut.cost_weight());
         assert_eq!(Request::ListGraphs.cost_weight(), Request::Stats.cost_weight());
         // Every request kind has a positive weight (a zero weight would
-        // make a graph invisible to the rebalancer).
+        // leave a busy graph cold to the spiller).
         for q in [
             Query::ApproxMinCut { seed: 0 },
             Query::ExactMinCut,

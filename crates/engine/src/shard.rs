@@ -1,38 +1,23 @@
 //! The sharded front-end: the same `Request -> Response` contract as
-//! [`Engine`], served by N worker threads with **adaptive placement**.
+//! [`Engine`], served by N worker threads with **static hash placement**.
 //!
 //! [`ShardedEngine`] partitions the graph registry across `shards` workers
-//! through a router-owned **placement table** (`graph name -> shard`),
-//! consulted per request. A name's first appearance assigns it the stable
-//! FNV-1a default shard, so with rebalancing off the routing is exactly
-//! the static hash placement of old. Each worker owns a private [`Engine`]
-//! holding its graphs' edge lists, epoch counters, and query caches, and
-//! drains a FIFO job channel that only it reads. Because a graph routes
-//! to one shard at a time and each shard's channel is FIFO, **per-graph
-//! request ordering is exactly submission order** — while requests that
-//! target graphs on different shards execute concurrently.
-//!
-//! With [`PlacementOptions::rebalance`] on, the router additionally keeps
-//! per-graph windowed load (a serve-time proxy, [`Request::cost_weight`])
-//! and periodically **migrates** graphs: a graph hotter than one shard's
-//! fair share rotates across shards so no single shard carries it for the
-//! whole run, and overloaded shards shed their heaviest satellite graphs
-//! to the coldest shard. A migration is a *barrier for that graph*: a
-//! `MigrateOut` marker drains behind every already-queued job on the old
-//! shard, the graph's entry — edge list, index, epoch, warmed query
-//! cache — moves wholesale, and the new shard blocks at its `MigrateIn`
-//! marker until the entry arrives. Per-graph FIFO order is therefore
-//! preserved across the move and no response ever changes. Shards
-//! exchange graphs only at these barriers.
+//! by the FNV-1a hash of the graph name ([`ShardedEngine::shard_of`]): a
+//! name always routes to the same shard, for the life of the engine and
+//! across restarts. Each worker owns a private [`Engine`] holding its
+//! graphs' edge lists, epoch counters, and query caches, and drains a FIFO
+//! job channel that only it reads. Because a graph routes to one shard and
+//! each shard's channel is FIFO, **per-graph request ordering is exactly
+//! submission order** — while requests that target graphs on different
+//! shards execute concurrently. Shards never exchange graph state.
 //!
 //! Cross-graph requests ([`Request::ListGraphs`], [`Request::Stats`]) are
 //! broadcast to every shard through the same FIFO channels and their
 //! partial answers merged, so they observe precisely the requests
-//! submitted before them. Net contract, unchanged from the
-//! static-placement engine: for *any* request stream, *any* shard count,
-//! and rebalancing on or off, the response sequence (in submission order)
-//! matches the single-threaded engine's, and the stress harness's
-//! deterministic log digest is unchanged.
+//! submitted before them. Net contract: for *any* request stream and *any*
+//! shard count, the response sequence (in submission order) matches the
+//! single-threaded engine's, and the stress harness's deterministic log
+//! digest is unchanged.
 //!
 //! Two ways to drive it:
 //! - [`ShardedEngine::execute`] — submit one request and block for its
@@ -43,12 +28,12 @@
 //!   across shards and where the throughput win comes from.
 //!
 //! Shutdown is graceful: [`ShardedEngine::shutdown`] (or drop) drops the
-//! job senders, and every worker drains all in-flight jobs — migration
-//! markers included — before exiting, so tickets taken before shutdown
-//! still resolve. A worker that dies (panics) drops its receiver, and
-//! with it every job still queued there: those tickets, and the tickets
-//! of jobs routed to the dead shard later, resolve to
-//! [`Response::Error`] instead of hanging.
+//! job senders, and every worker drains all in-flight jobs before exiting,
+//! so tickets taken before shutdown still resolve. A worker that dies
+//! (panics) drops its receiver, and with it every job still queued there:
+//! those tickets, and the tickets of jobs routed to the dead shard later,
+//! resolve to [`Response::Error`] instead of hanging. No worker ever waits
+//! on another, so the other shards keep serving.
 //!
 //! ```
 //! use cut_engine::{GraphSpec, Query, Request, Response, ShardedEngine};
@@ -69,7 +54,6 @@
 //! assert_eq!(per_shard.iter().map(|s| s.queries).sum::<u64>(), 1);
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -83,74 +67,16 @@ use crate::pool::CutPool;
 use crate::request::{Request, Response};
 use crate::store_api::GraphStore;
 
-/// Tunables for the adaptive placement layer: load-driven rebalancing
-/// (graph migration between shards). Rebalancing never changes a
-/// response — see the module docs for the barrier protocol that
-/// guarantees it — so these knobs trade only throughput and queue
-/// balance.
-///
-/// # Examples
-///
-/// ```
-/// use cut_engine::{
-///     GraphSpec, PlacementOptions, Query, Request, Response, ShardOptions, ShardedEngine,
-/// };
-///
-/// let placement = PlacementOptions {
-///     rebalance: true,
-///     window: 4, // rebalance every 4 submissions (default 512)
-///     ..PlacementOptions::default()
-/// };
-/// let mut engine =
-///     ShardedEngine::with_options(2, ShardOptions { placement, ..ShardOptions::default() });
-/// for i in 0..4 {
-///     engine.execute(Request::Create { name: format!("g{i}"), spec: GraphSpec::Cycle { n: 12 } });
-/// }
-/// // Hammer one graph: the router's load accounting sees the skew and
-/// // rotates the hot graph between shards at window boundaries.
-/// for _ in 0..32 {
-///     let r = engine.execute(Request::Query { name: "g0".into(), query: Query::ExactMinCut });
-///     assert!(matches!(r, Response::CutValue { weight: 2, .. }));
-/// }
-/// let report = engine.placement_report();
-/// assert_eq!(report.assignments.len(), 4, "every graph has a home shard");
-/// assert!(report.rebalances > 0);
-/// engine.shutdown();
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementOptions {
-    /// Enable load-driven rebalancing (graph migration at window
-    /// boundaries). Off ⇒ placement is the static FNV default, forever.
-    pub rebalance: bool,
-    /// Submissions between rebalance checks. Smaller windows adapt faster
-    /// but migrate (and pay the per-graph barrier) more often.
-    pub window: usize,
-    /// Most migrations one rebalance round may enqueue.
-    pub max_moves: usize,
-    /// Trigger threshold: the hottest shard must carry more than
-    /// `imbalance × mean` window load before satellites move (values
-    /// below 1.0 behave as 1.0).
-    pub imbalance: f64,
-}
-
-impl Default for PlacementOptions {
-    fn default() -> Self {
-        Self { rebalance: false, window: 512, max_moves: 3, imbalance: 1.25 }
-    }
-}
-
 /// How a [`ShardedEngine`]'s workers are configured.
 #[derive(Clone)]
 pub struct ShardOptions {
     /// Per-shard engine configuration.
     pub cfg: EngineConfig,
-    /// Adaptive placement: rebalancing migrations.
-    pub placement: PlacementOptions,
     /// Durability backend, shared by every worker. Each worker attaches
     /// it to its private [`Engine`] and adopts (as spilled, faulted in on
-    /// first touch) the stored graphs whose stable FNV default shard is
-    /// its own — so recovery needs no placement history and works for
-    /// any shard count.
+    /// first touch) the stored graphs that hash to its own shard — the
+    /// same function that routes requests, so recovery needs no history
+    /// and works for any shard count.
     pub store: Option<Arc<dyn GraphStore>>,
     /// Telemetry clock stamping request lifecycles (enqueue, dequeue,
     /// serve end) and serve-time attribution. Defaults to the monotonic
@@ -166,7 +92,6 @@ impl Default for ShardOptions {
     fn default() -> Self {
         Self {
             cfg: EngineConfig::default(),
-            placement: PlacementOptions::default(),
             store: None,
             clock: Arc::new(MonotonicClock::new()),
             slowlog_cap: 16,
@@ -178,7 +103,6 @@ impl std::fmt::Debug for ShardOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardOptions")
             .field("cfg", &self.cfg)
-            .field("placement", &self.placement)
             .field("store", &self.store.as_ref().map(|_| "dyn GraphStore"))
             .field("clock", &self.clock)
             .field("slowlog_cap", &self.slowlog_cap)
@@ -193,34 +117,6 @@ struct Job {
     request: Request,
     reply: Sender<Response>,
     enqueue: u64,
-}
-
-/// What travels through a shard's job channel. Routing invariants: `Exec`
-/// jobs for one graph always go to that graph's current shard; migration
-/// markers are sent in pairs by the router (out on the old shard, in on
-/// the new, in that submission order).
-enum WorkItem {
-    /// Execute a request and reply.
-    Exec(Job),
-    /// Migration barrier, source side: detach `name` and send it to the
-    /// target shard. Sits behind every job for `name` submitted before the
-    /// migration, so the entry leaves only after they all executed.
-    MigrateOut { name: String, to: Sender<MigrationPkg> },
-    /// Migration barrier, target side: block until the entry arrives and
-    /// install it. Sits ahead of every job for `name` submitted after the
-    /// migration, so none executes before the entry exists here.
-    MigrateIn { name: String, from: Receiver<MigrationPkg> },
-}
-
-/// A migrating graph (`export: None` when the graph was dropped between
-/// the rebalance decision and the source shard reaching the marker — or,
-/// with `spilled`, when the graph is cold on disk: ownership of the
-/// durable copy moves without faulting it in).
-struct MigrationPkg {
-    export: Option<crate::engine::GraphExport>,
-    /// The source shard held the graph as a spilled (on-disk) entry; the
-    /// target adopts the name and faults it in on first touch.
-    spilled: bool,
 }
 
 /// Which cross-shard request a broadcast ticket is merging.
@@ -467,62 +363,27 @@ fn unexpected_partial(got: Response) -> Response {
     Response::Error { message: format!("unexpected shard partial: {got}") }
 }
 
-/// Stable FNV-1a over the graph name — the *default* placement. Kept
-/// platform- and run-independent so shard assignment (and therefore the
-/// per-shard occupancy a harness reports) is reproducible.
-fn name_hash(name: &str) -> u64 {
-    cut_graph::hash::fnv1a(name.as_bytes())
-}
-
-/// The shard a name lands on before any rebalancing touches it.
+/// The shard that owns `name`: stable FNV-1a over the name, modulo the
+/// shard count. Platform- and run-independent, so routing, durable
+/// adoption and the per-shard occupancy a harness reports are all
+/// reproducible.
 fn default_shard(name: &str, shards: usize) -> usize {
-    (name_hash(name) % shards as u64) as usize
-}
-
-/// What the adaptive placement layer has done so far — rebalance rounds,
-/// migrations, and the current graph-to-shard assignment. The stress
-/// harness prints this as the placement section of its report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlacementReport {
-    /// Graph migrations enqueued (each one is a per-graph barrier).
-    pub migrations: u64,
-    /// Rebalance rounds run (window boundaries with rebalancing on).
-    pub rebalances: u64,
-    /// Placement generation: bumped once per migration, so two reports
-    /// with equal generations describe the same table.
-    pub generation: u64,
-    /// Current `graph -> shard` assignment, sorted by name. Names persist
-    /// across drops (a re-created graph keeps its last home).
-    pub assignments: Vec<(String, usize)>,
+    (cut_graph::hash::fnv1a(name.as_bytes()) % shards as u64) as usize
 }
 
 /// The sharded, multi-threaded front-end over [`Engine`].
 ///
-/// See the [module docs](self) for the routing, placement, and ordering
-/// contract. Use [`ShardedEngine::new`] for defaults,
-/// [`ShardedEngine::with_config`] to set the per-shard [`EngineConfig`],
-/// [`ShardedEngine::with_options`] for adaptive placement, durability and
-/// telemetry.
+/// See the [module docs](self) for the routing and ordering contract. Use
+/// [`ShardedEngine::new`] for defaults, [`ShardedEngine::with_config`] to
+/// set the per-shard [`EngineConfig`], [`ShardedEngine::with_options`] for
+/// durability and telemetry.
 pub struct ShardedEngine {
     /// One job channel per shard. Dropping the senders is the shutdown
     /// signal: each worker drains its channel, then exits.
-    senders: Vec<Sender<WorkItem>>,
+    senders: Vec<Sender<Job>>,
     workers: Vec<JoinHandle<EngineStats>>,
     /// Jobs enqueued per shard (broadcasts count on every shard).
     routed: Vec<u64>,
-    placement: PlacementOptions,
-    /// The placement table: where each graph currently lives. Entries are
-    /// created on first routing (default = stable FNV shard) and moved
-    /// only by [`rebalance`](Self::rebalance) migrations.
-    table: BTreeMap<String, usize>,
-    /// Per-graph window load in the static cost-weight currency, decayed
-    /// each rebalance — the signal behind hot-graph rotation and
-    /// satellite shedding.
-    loads: BTreeMap<String, u64>,
-    since_rebalance: usize,
-    migrations: u64,
-    rebalances: u64,
-    generation: u64,
     /// The telemetry clock, shared with every worker: the router stamps
     /// each job's enqueue mark at submission.
     clock: Arc<dyn Clock>,
@@ -550,9 +411,8 @@ impl ShardedEngine {
         Self::with_options(shards, ShardOptions { cfg, ..ShardOptions::default() })
     }
 
-    /// Spawn `shards` worker threads with rebalancing, durability and
-    /// telemetry configured — see [`ShardOptions`] and
-    /// [`PlacementOptions`].
+    /// Spawn `shards` worker threads with durability and telemetry
+    /// configured — see [`ShardOptions`].
     ///
     /// # Panics
     /// Panics if `shards` is zero, or if the OS refuses to spawn a worker
@@ -575,11 +435,10 @@ impl ShardedEngine {
             engine.set_clock(Arc::clone(&opts.clock));
             if let Some(store) = &opts.store {
                 engine.attach_store(Arc::clone(store));
-                // Adopt this shard's slice of the durable graphs — by
-                // the stable FNV default placement, so recovery is
-                // portable across shard counts and needs no record of
-                // the previous run's placement table. Adopted graphs
-                // stay on disk until first touched.
+                // Adopt this shard's slice of the durable graphs — the
+                // slice routing sends here, so recovery is portable
+                // across shard counts. Adopted graphs stay on disk until
+                // first touched.
                 for name in store.names() {
                     if default_shard(&name, shards) == shard {
                         engine.adopt_stored(&name);
@@ -607,13 +466,6 @@ impl ShardedEngine {
             senders,
             workers,
             routed: vec![0; shards],
-            placement: opts.placement,
-            table: BTreeMap::new(),
-            loads: BTreeMap::new(),
-            since_rebalance: 0,
-            migrations: 0,
-            rebalances: 0,
-            generation: 0,
             clock: opts.clock,
             abandoned: Arc::new(AtomicU64::new(0)),
         }
@@ -624,65 +476,36 @@ impl ShardedEngine {
         self.senders.len()
     }
 
-    /// The shard that currently owns graph `name`. Without rebalancing
-    /// this is the stable FNV default and never changes; with rebalancing
-    /// it reflects the placement table as of the last submission.
+    /// The shard that owns graph `name`: the stable FNV-1a hash of the
+    /// name, which never changes.
     pub fn shard_of(&self, name: &str) -> usize {
-        self.table.get(name).copied().unwrap_or_else(|| default_shard(name, self.shards()))
+        default_shard(name, self.shards())
     }
 
     /// Jobs enqueued per shard so far (broadcast requests count once on
-    /// every shard; internal migration markers are not counted). The
-    /// stress harness reads this for occupancy stats.
+    /// every shard). The stress harness reads this for occupancy stats.
     pub fn routed(&self) -> &[u64] {
         &self.routed
     }
 
-    /// What the placement layer has done: rebalances, migrations, and the
-    /// current graph-to-shard table. See the [`PlacementOptions`] example
-    /// for usage.
-    pub fn placement_report(&self) -> PlacementReport {
-        PlacementReport {
-            migrations: self.migrations,
-            rebalances: self.rebalances,
-            generation: self.generation,
-            assignments: self.table.iter().map(|(name, &shard)| (name.clone(), shard)).collect(),
-        }
-    }
-
     /// Enqueue one request and return a [`Ticket`] for its response.
     ///
-    /// Requests that name a graph go to that graph's current shard (per
-    /// the placement table); `ListGraphs` and `Stats` are broadcast to
-    /// every shard and merged at [`Ticket::wait`]. Submission order *is*
-    /// per-graph execution order. With rebalancing on, every `window`
-    /// submissions the router may also enqueue migration barriers here —
-    /// they are invisible to responses.
+    /// Requests that name a graph go to that graph's shard
+    /// ([`ShardedEngine::shard_of`]); `ListGraphs` and `Stats` are
+    /// broadcast to every shard and merged at [`Ticket::wait`]. Submission
+    /// order *is* per-graph execution order.
     pub fn submit(&mut self, request: Request) -> Ticket {
         // Exhaustive: a new Request variant must declare here whether it
         // routes by graph name or broadcasts (and how its partials merge).
-        let ticket = match &request {
+        match &request {
             Request::Create { name, .. }
             | Request::Drop { name }
             | Request::Mutate { name, .. }
             | Request::Query { name, .. } => {
-                let shard = self.place(name);
-                if self.placement.rebalance {
-                    if matches!(request, Request::Drop { .. }) {
-                        // Stop accounting a graph the stream is dropping:
-                        // migrating a tombstone would spend a barrier (and
-                        // a move budget slot) on nothing.
-                        self.loads.remove(name);
-                    } else {
-                        // Queue-pressure accounting, charged at submit
-                        // time so it leads the queue, not trails it.
-                        *self.loads.entry(name.clone()).or_insert(0) += request.cost_weight();
-                    }
-                }
+                let shard = self.shard_of(name);
                 let (reply, rx) = unbounded();
-                self.routed[shard] += 1;
                 let enqueue = self.clock.now();
-                self.push(shard, WorkItem::Exec(Job { request, reply, enqueue }));
+                self.push(shard, Job { request, reply, enqueue });
                 self.ticket(TicketInner::Single(rx))
             }
             Request::ListGraphs | Request::Stats | Request::Metrics | Request::Slowlog => {
@@ -696,25 +519,13 @@ impl ShardedEngine {
                 let enqueue = self.clock.now();
                 for shard in 0..self.shards() {
                     let (reply, rx) = unbounded();
-                    self.routed[shard] += 1;
-                    self.push(
-                        shard,
-                        WorkItem::Exec(Job { request: request.clone(), reply, enqueue }),
-                    );
+                    self.push(shard, Job { request: request.clone(), reply, enqueue });
                     parts.push(rx);
                 }
                 let got = (0..parts.len()).map(|_| None).collect();
                 self.ticket(TicketInner::Merge { kind, parts, got })
             }
-        };
-        if self.placement.rebalance {
-            self.since_rebalance += 1;
-            if self.since_rebalance >= self.placement.window.max(1) {
-                self.since_rebalance = 0;
-                self.rebalance();
-            }
         }
-        ticket
     }
 
     /// Wrap a pending response with the abandoned-ticket accounting.
@@ -742,9 +553,9 @@ impl ShardedEngine {
     /// Close the job channels and join every worker, returning each
     /// shard's final [`EngineStats`] (index = shard id).
     ///
-    /// Graceful: workers drain every job already queued — migration
-    /// markers included — before exiting, so tickets obtained before
-    /// `shutdown` still resolve with real answers.
+    /// Graceful: workers drain every job already queued before exiting,
+    /// so tickets obtained before `shutdown` still resolve with real
+    /// answers.
     ///
     /// # Panics
     /// Propagates a shard worker's panic rather than silently reporting
@@ -760,166 +571,14 @@ impl ShardedEngine {
             .collect()
     }
 
-    fn push(&self, shard: usize, item: WorkItem) {
+    /// Count and enqueue one job on `shard`.
+    fn push(&mut self, shard: usize, job: Job) {
+        self.routed[shard] += 1;
         // A failed send means the shard's worker died and dropped its
-        // receiver. The item drops here, and with it a job's reply
-        // sender, so the job's ticket resolves to an error.
-        let _ = self.senders[shard].send(item);
+        // receiver. The job drops here, and with it its reply sender, so
+        // its ticket resolves to an error.
+        let _ = self.senders[shard].send(job);
     }
-
-    /// Current shard of `name`, creating the table entry (at the stable
-    /// FNV default) on first sight.
-    fn place(&mut self, name: &str) -> usize {
-        if let Some(&shard) = self.table.get(name) {
-            return shard;
-        }
-        let shard = default_shard(name, self.shards());
-        self.table.insert(name.to_string(), shard);
-        shard
-    }
-
-    /// One rebalance round. Phase 1 rotates a graph hotter than one
-    /// shard's fair share to the least-loaded other shard — no placement
-    /// can shrink such a graph's instantaneous share, but rotating it
-    /// spreads its *run-long* routed share across shards. Phase 2
-    /// greedily moves the heaviest helpful satellite graphs off the
-    /// hottest shard onto the coldest while that strictly lowers the
-    /// pair's max. Loads then decay (halve) so the accounting tracks
-    /// recent traffic.
-    ///
-    /// Fully deterministic: ties break by shard index / name order, so a
-    /// given request stream always produces the same migration schedule.
-    fn rebalance(&mut self) {
-        let shards = self.shards();
-        if shards < 2 {
-            return;
-        }
-        self.rebalances += 1;
-        let mut shard_load = vec![0u64; shards];
-        for (name, &load) in &self.loads {
-            if let Some(&s) = self.table.get(name) {
-                shard_load[s] += load;
-            }
-        }
-        let total: u64 = shard_load.iter().sum();
-        let mut moves: Vec<(String, usize, usize)> = Vec::new();
-
-        if total > 0 && self.placement.max_moves > 0 {
-            // Phase 1: spread a graph no single shard should keep. The
-            // rotation spends from the same move budget as phase 2, so
-            // `max_moves: 0` really does mean zero migrations.
-            if let Some((name, load)) = hottest_graph(&self.loads) {
-                if load * shards as u64 > total {
-                    let cur = self.table[&name];
-                    // Least-loaded target, scanned in rotation order from
-                    // cur+1 so even ties still round-robin the hot graph.
-                    let mut target = cur;
-                    let mut best = u64::MAX;
-                    for offset in 1..shards {
-                        let s = (cur + offset) % shards;
-                        if shard_load[s] < best {
-                            best = shard_load[s];
-                            target = s;
-                        }
-                    }
-                    if target != cur {
-                        shard_load[cur] -= load;
-                        shard_load[target] += load;
-                        moves.push((name, cur, target));
-                    }
-                }
-            }
-
-            // Phase 2: shed satellites from the hottest shard.
-            shed_satellites(&self.placement, &self.table, &self.loads, &mut shard_load, &mut moves);
-        }
-
-        for (name, from, to) in moves {
-            self.migrate(name, from, to);
-        }
-        // Decay, dropping entries that reach zero so the accounting stays
-        // proportional to recently-active graphs, not all names ever seen.
-        self.loads.retain(|_, load| {
-            *load /= 2;
-            *load > 0
-        });
-    }
-
-    /// Enqueue one migration: the barrier pair (out marker on the old
-    /// shard, in marker on the new) plus the table flip, all at this
-    /// single point in the submission stream — which is what makes the
-    /// move invisible to per-graph ordering and to broadcasts.
-    fn migrate(&mut self, name: String, from: usize, to: usize) {
-        debug_assert_ne!(from, to, "migration must change shards");
-        let (tx, rx) = unbounded();
-        self.push(from, WorkItem::MigrateOut { name: name.clone(), to: tx });
-        self.push(to, WorkItem::MigrateIn { name: name.clone(), from: rx });
-        self.table.insert(name, to);
-        self.generation += 1;
-        self.migrations += 1;
-    }
-}
-
-/// Greedily move the heaviest helpful satellite graphs off the hottest
-/// shard onto the coldest while that strictly lowers the pair's max.
-/// Spends from the shared `moves` vector up to
-/// [`PlacementOptions::max_moves`]; graphs already moved this round (by
-/// rotation) are skipped, and the hot/cold membership check uses the
-/// pre-round `table`.
-fn shed_satellites(
-    placement: &PlacementOptions,
-    table: &BTreeMap<String, usize>,
-    loads: &BTreeMap<String, u64>,
-    shard_load: &mut [u64],
-    moves: &mut Vec<(String, usize, usize)>,
-) {
-    let shards = shard_load.len();
-    let total: u64 = shard_load.iter().sum();
-    while moves.len() < placement.max_moves {
-        let (mut hot, mut cold) = (0usize, 0usize);
-        for s in 1..shards {
-            if shard_load[s] > shard_load[hot] {
-                hot = s;
-            }
-            if shard_load[s] < shard_load[cold] {
-                cold = s;
-            }
-        }
-        let mean = total as f64 / shards as f64;
-        if hot == cold || shard_load[hot] as f64 <= placement.imbalance.max(1.0) * mean {
-            break;
-        }
-        let mut best: Option<(String, u64)> = None;
-        for (name, &load) in loads {
-            if load == 0
-                || table.get(name) != Some(&hot)
-                || moves.iter().any(|(moved, _, _)| moved == name)
-            {
-                continue;
-            }
-            // Only moves that strictly lower the pair's max load.
-            if shard_load[cold] + load < shard_load[hot]
-                && best.as_ref().is_none_or(|(_, b)| load > *b)
-            {
-                best = Some((name.clone(), load));
-            }
-        }
-        let Some((name, load)) = best else { break };
-        shard_load[hot] -= load;
-        shard_load[cold] += load;
-        moves.push((name, hot, cold));
-    }
-}
-
-/// The graph with the largest window load (first in name order on ties).
-fn hottest_graph(loads: &BTreeMap<String, u64>) -> Option<(String, u64)> {
-    let mut best: Option<(&String, u64)> = None;
-    for (name, &load) in loads {
-        if load > 0 && best.is_none_or(|(_, b)| load > b) {
-            best = Some((name, load));
-        }
-    }
-    best.map(|(name, load)| (name.clone(), load))
 }
 
 impl Drop for ShardedEngine {
@@ -933,12 +592,12 @@ impl Drop for ShardedEngine {
     }
 }
 
-/// One shard worker: drains its job channel FIFO into a private engine
-/// and executes migrations. Reports final stats to `shutdown`.
+/// One shard worker: drains its job channel FIFO into a private engine.
+/// Reports final stats to `shutdown`.
 struct Worker {
     id: usize,
     /// This shard's job channel; the router holds the only sender.
-    jobs: Receiver<WorkItem>,
+    jobs: Receiver<Job>,
     engine: Engine,
     /// Shard-local telemetry: queue-wait and serve-time histograms (one
     /// observation per named request served here), merged across shards
@@ -955,17 +614,17 @@ struct Worker {
 
 impl Worker {
     fn run(mut self) -> EngineStats {
-        while let Some(item) = self.next_item() {
-            self.process(item);
+        while let Some(job) = self.next_job() {
+            self.exec(job);
         }
         self.engine.stats()
     }
 
-    /// Next work item, or `None` at graceful exit (every sender dropped
-    /// and the channel drained).
-    fn next_item(&self) -> Option<WorkItem> {
+    /// Next job, or `None` at graceful exit (every sender dropped and the
+    /// channel drained).
+    fn next_job(&self) -> Option<Job> {
         match self.jobs.try_recv() {
-            Ok(item) => return Some(item),
+            Ok(job) => return Some(job),
             Err(TryRecvError::Disconnected) => return None,
             Err(TryRecvError::Empty) => {}
         }
@@ -973,42 +632,9 @@ impl Worker {
         // kernel pool for the duration of the wait (no-op when the pool
         // is disabled).
         self.pool.enter_idle();
-        let item = self.jobs.recv().ok();
+        let job = self.jobs.recv().ok();
         self.pool.leave_idle();
-        item
-    }
-
-    fn process(&mut self, item: WorkItem) {
-        match item {
-            WorkItem::Exec(job) => self.exec(job),
-            WorkItem::MigrateOut { name, to } => {
-                let export = self.engine.export_graph(&name);
-                // A cold (spilled) graph migrates without touching disk:
-                // only the ownership of the durable copy moves.
-                let spilled = export.is_none() && self.engine.is_spilled(&name);
-                if spilled {
-                    self.engine.forget_spilled(&name);
-                }
-                // A failed send means the target worker died; its panic
-                // surfaces at join.
-                let _ = to.send(MigrationPkg { export, spilled });
-            }
-            WorkItem::MigrateIn { name, from } => {
-                // Blocking here cannot deadlock: the matching out marker
-                // entered the source shard's channel at the same point of
-                // the submission stream, so only earlier-submitted items
-                // sit ahead of it, and none of those waits on a later one.
-                let pkg = from.recv().unwrap_or_else(|_| {
-                    panic!("shard worker {}: migration channel lost (peer worker died)", self.id)
-                });
-                if let Some(export) = pkg.export {
-                    let installed = self.engine.import_graph(export).is_ok();
-                    debug_assert!(installed, "graph '{name}' collided at migrate-in");
-                } else if pkg.spilled {
-                    self.engine.adopt_stored(&name);
-                }
-            }
-        }
+        job
     }
 
     fn exec(&mut self, job: Job) {
@@ -1337,50 +963,12 @@ mod tests {
     }
 
     #[test]
-    fn rebalancing_rotates_a_pinned_hot_graph() {
-        // One graph takes all the traffic: static placement pins it (and
-        // 100% of the routed share) to one shard forever. With rebalancing
-        // on, the router must rotate it so both shards carry real share.
-        let placement =
-            PlacementOptions { rebalance: true, window: 8, ..PlacementOptions::default() };
-        let mut e =
-            ShardedEngine::with_options(2, ShardOptions { placement, ..ShardOptions::default() });
-        create(&mut e, "hot", 12);
-        for _ in 0..200 {
-            let r = e.execute(Request::Query { name: "hot".into(), query: Query::Connectivity });
-            assert!(matches!(r, Response::ConnectivityValue { components: 1, .. }));
-        }
-        let report = e.placement_report();
-        assert!(report.migrations >= 10, "got only {} migrations", report.migrations);
-        assert_eq!(report.generation, report.migrations);
-        let routed = e.routed().to_vec();
-        let min = routed.iter().min().copied().unwrap_or(0);
-        assert!(
-            min >= 40,
-            "rotation must spread the hot graph's routed share (routed: {routed:?})"
-        );
-        let per_shard = e.shutdown();
-        let ins: u64 = per_shard.iter().map(|s| s.migrations_in).sum();
-        let outs: u64 = per_shard.iter().map(|s| s.migrations_out).sum();
-        assert_eq!(ins, report.migrations);
-        assert_eq!(outs, report.migrations);
-    }
-
-    #[test]
-    fn rebalancing_migrations_preserve_responses_and_counters() {
-        // A dense migration schedule (window 3) interleaved with
-        // mutations, drops, re-creates, and broadcasts, all pipelined so
-        // drops land while migrations are in flight: every response must
-        // equal the unsharded engine's, and the per-shard migration
-        // counters must balance against the router's count.
-        let placement = PlacementOptions {
-            rebalance: true,
-            window: 3,
-            max_moves: 4,
-            ..PlacementOptions::default()
-        };
-        let mut sharded =
-            ShardedEngine::with_options(3, ShardOptions { placement, ..ShardOptions::default() });
+    fn pipelined_drops_recreates_and_broadcasts_match_engine() {
+        // One hot graph interleaved with mutations, drops, a re-create,
+        // and broadcasts, all pipelined so the drops land while earlier
+        // work is still queued: every response must equal the unsharded
+        // engine's, and the per-shard counters must sum to its counters.
+        let mut sharded = ShardedEngine::new(3);
         let mut plain = Engine::new();
 
         let mut requests: Vec<Request> = Vec::new();
@@ -1425,15 +1013,8 @@ mod tests {
         let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
         assert_eq!(got, expected);
 
-        let report = sharded.placement_report();
-        assert!(report.migrations > 0, "window=3 under hot skew must migrate");
-        let per_shard = sharded.shutdown();
-        let ins: u64 = per_shard.iter().map(|s| s.migrations_in).sum();
-        let outs: u64 = per_shard.iter().map(|s| s.migrations_out).sum();
-        assert_eq!(ins, report.migrations, "every migration must land");
-        assert_eq!(outs, report.migrations, "every migration must leave");
         let mut total = EngineStats::default();
-        for s in &per_shard {
+        for s in &sharded.shutdown() {
             total.merge(s);
         }
         assert_eq!(total.queries, plain.stats().queries);
@@ -1443,23 +1024,13 @@ mod tests {
     }
 
     #[test]
-    fn migrations_with_kernel_caches_preserve_responses() {
-        // Kernelized shards under a dense migration schedule: graphs move
-        // between workers with their kernel caches *not* travelling (the
-        // kernel is per-engine derived state), so the destination rebuilds
-        // — and every response must still equal an unkernelized,
-        // unsharded engine's, cached flags included.
-        let placement = PlacementOptions {
-            rebalance: true,
-            window: 3,
-            max_moves: 4,
-            ..PlacementOptions::default()
-        };
+    fn kernelized_shards_match_plain_engine() {
+        // Kernelized shards sharing one borrowed-worker pool: every
+        // response must still equal an unkernelized, unsharded engine's,
+        // cached flags included.
         let cfg = EngineConfig { kernel: true, kernel_threshold: 4, ..EngineConfig::default() };
-        let mut sharded = ShardedEngine::with_options(
-            3,
-            ShardOptions { cfg, placement, ..ShardOptions::default() },
-        );
+        let mut sharded =
+            ShardedEngine::with_options(3, ShardOptions { cfg, ..ShardOptions::default() });
         let mut plain = Engine::new();
 
         let mut requests: Vec<Request> = Vec::new();
@@ -1502,11 +1073,8 @@ mod tests {
             assert_eq!(sharded.execute(req.clone()), plain.execute(req));
         }
 
-        let report = sharded.placement_report();
-        assert!(report.migrations > 0, "window=3 under hot skew must migrate");
-        let per_shard = sharded.shutdown();
         let mut total = EngineStats::default();
-        for s in &per_shard {
+        for s in &sharded.shutdown() {
             total.merge(s);
         }
         assert!(total.kernel_cut_serves > 0, "kernel path never served");

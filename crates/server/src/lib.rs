@@ -24,9 +24,9 @@
 //! critical section per request, so concurrent sessions interleave at
 //! request granularity and per-connection order is preserved), while its
 //! writer thread resolves tickets in order and streams the response
-//! lines back. All placement machinery — shards and rebalancing — is
-//! configured at construction via [`ShardOptions`] and works unchanged
-//! underneath the socket layer.
+//! lines back. The engine's shard count and [`ShardOptions`] (durability,
+//! telemetry) are set at construction through [`ServerConfig`] and work
+//! unchanged underneath the socket layer.
 //!
 //! **Graceful drain** ([`ServerHandle::shutdown`], the SIGTERM-equivalent
 //! — the `cut-server` binary triggers it from a `shutdown` line on

@@ -2,12 +2,13 @@
 //!
 //! ```text
 //! cargo run --release -p cut_server --bin cut-server -- \
-//!     --addr 127.0.0.1:7641 --shards 4 --rebalance
+//!     --addr 127.0.0.1:7641 --shards 4
 //! ```
 //!
-//! All engine-side flags of the stress harness are exposed here, because
-//! under a network split they are *server* properties: `--shards N`,
-//! `--rebalance`, `--rebalance-window N`, `--cache-entries N`.
+//! Engine flags: `--shards N` (graphs route to shards by the hash of
+//! their name) and `--cache-entries N`. A `stress --remote` run leaves
+//! these to the server. The stress harness's `--no-dynconn`, `--kernel`
+//! and `--kernel-threshold` are in-process only and have no server flag.
 //! Serving-layer flags:
 //! `--addr HOST:PORT`, `--max-conns N`, `--idle-timeout-ms N`, and
 //! `--log PATH` (the deterministic operation log, byte-comparable to an
@@ -33,15 +34,13 @@ use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cut_engine::{EngineConfig, PlacementOptions, ShardOptions};
+use cut_engine::{EngineConfig, ShardOptions};
 use cut_server::{Server, ServerConfig};
 use cut_store::{Store, StoreOptions};
 
 struct Args {
     addr: String,
     shards: usize,
-    rebalance: bool,
-    rebalance_window: usize,
     cache_entries: usize,
     max_conns: usize,
     idle_timeout_ms: u64,
@@ -59,8 +58,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7641".to_string(),
         shards: 1,
-        rebalance: false,
-        rebalance_window: PlacementOptions::default().window,
         cache_entries: EngineConfig::default().max_cache_entries,
         max_conns: defaults.max_conns,
         idle_timeout_ms: defaults.idle_timeout.as_millis() as u64,
@@ -84,11 +81,6 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = value(&mut i)?,
             "--shards" => {
                 args.shards = value(&mut i)?.parse().map_err(|e| format!("--shards: {e}"))?
-            }
-            "--rebalance" => args.rebalance = true,
-            "--rebalance-window" => {
-                args.rebalance_window =
-                    value(&mut i)?.parse().map_err(|e| format!("--rebalance-window: {e}"))?
             }
             "--cache-entries" => {
                 args.cache_entries =
@@ -119,8 +111,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "cut-server --addr HOST:PORT [--shards N] [--rebalance] \
-                     [--rebalance-window N] [--cache-entries N] [--max-conns N] \
+                    "cut-server --addr HOST:PORT [--shards N] [--cache-entries N] [--max-conns N] \
                      [--idle-timeout-ms N] [--log PATH] [--data-dir PATH] \
                      [--snapshot-every N] [--resident-cap N] [--fsync] \
                      [--metrics-out PATH] [--metrics-every MS]\n\
@@ -143,9 +134,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.cache_entries == 0 {
         return Err("--cache-entries must be at least 1".into());
-    }
-    if args.rebalance_window == 0 {
-        return Err("--rebalance-window must be at least 1".into());
     }
     if args.metrics_every_ms == 0 {
         return Err("--metrics-every must be at least 1 (milliseconds)".into());
@@ -206,11 +194,6 @@ fn main() {
                 resident_cap: args.resident_cap,
                 ..EngineConfig::default()
             },
-            placement: PlacementOptions {
-                rebalance: args.rebalance,
-                window: args.rebalance_window,
-                ..PlacementOptions::default()
-            },
             store: store.map(|s| s as Arc<dyn cut_engine::GraphStore>),
             ..ShardOptions::default()
         },
@@ -229,10 +212,9 @@ fn main() {
         }
     };
     println!(
-        "cut-server listening on {} (shards={} rebalance={} max-conns={} idle-timeout={}ms{})",
+        "cut-server listening on {} (shards={} max-conns={} idle-timeout={}ms{})",
         server.local_addr(),
         args.shards,
-        args.rebalance,
         args.max_conns,
         args.idle_timeout_ms,
         args.log.as_deref().map(|p| format!(" log={p}")).unwrap_or_default(),

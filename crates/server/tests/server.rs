@@ -9,9 +9,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cut_client::{ClientError, Connection, ReconnectPolicy};
-use cut_engine::{
-    Engine, EngineStats, GraphSpec, Mutation, Query, Request, Response, ShardOptions,
-};
+use cut_engine::{Engine, EngineStats, GraphSpec, Mutation, Query, Request, Response};
 use cut_server::{Server, ServerConfig, ServerHandle, PROTOCOL_VERSION};
 
 /// Start a server on a free loopback port; return its address, handle,
@@ -387,25 +385,12 @@ fn reconnect_with_retry_rides_out_a_late_server_start() {
     run.join().expect("server run");
 }
 
-/// The engine options plumb through the server construction unchanged —
-/// a rebalancing server still answers exactly like the plain engine
-/// (spot check; the full equivalence is the CI loopback gate).
+/// A four-shard server spreading ten graphs across its shards answers
+/// exactly like the plain engine (spot check; the full equivalence is the
+/// CI loopback gate).
 #[test]
-fn adaptive_server_options_do_not_change_responses() {
-    use cut_engine::PlacementOptions;
-    let cfg = ServerConfig {
-        shards: 4,
-        opts: ShardOptions {
-            placement: PlacementOptions {
-                rebalance: true,
-                window: 6,
-                ..PlacementOptions::default()
-            },
-            ..ShardOptions::default()
-        },
-        ..ServerConfig::default()
-    };
-    let (addr, handle, run) = start(cfg);
+fn multi_graph_server_matches_plain_engine() {
+    let (addr, handle, run) = start(sharded_cfg(4));
     let mut conn = Connection::connect(&addr).expect("connect");
     let mut reference = Engine::new();
     for i in 0..40u64 {
@@ -428,4 +413,19 @@ fn adaptive_server_options_do_not_change_responses() {
     drop(conn);
     handle.shutdown();
     run.join().expect("server run");
+}
+
+/// Flags the binary no longer has fail through the generic unknown-flag
+/// path: exit 2, `unknown flag` on stderr, no socket bound.
+#[test]
+fn removed_placement_flags_are_unknown() {
+    for args in [&["--rebalance"][..], &["--rebalance-window", "8"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cut-server"))
+            .args(args)
+            .output()
+            .expect("spawn cut-server");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "cut-server {args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "cut-server {args:?}: {stderr}");
+    }
 }

@@ -6,8 +6,8 @@
 
 use ampc_mincut::prelude::*;
 use cut_engine::{
-    ActionMix, ArrivalProcess, Engine, GraphSpec, Mutation, PlacementOptions, Query, Request,
-    Response, ShardOptions, ShardedEngine, Timeline, Workload, WorkloadConfig,
+    ActionMix, ArrivalProcess, Engine, GraphSpec, Mutation, Query, Request, Response,
+    ShardedEngine, Timeline, Workload, WorkloadConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -280,11 +280,12 @@ proptest! {
         }
     }
 
-    /// Adaptive placement under fire: with an aggressive rebalance window
-    /// (migrations every few submissions), the pipelined response stream
-    /// — broadcasts injected — must stay element-wise identical to the
-    /// single-threaded engine for any shard count; and the served counters
-    /// must survive the migration accounting (migration counters balance).
+    /// Broadcasts under fire: with `Stats` and `ListGraphs` injected
+    /// mid-stream, the pipelined response stream of the default mix must
+    /// stay element-wise identical to the single-threaded engine for any
+    /// shard count, and the merged served counters must equal the
+    /// reference engine's. (The name dates from adaptive placement; each
+    /// graph now stays on its hashed shard.)
     #[test]
     fn rebalanced_engine_matches_unsharded_on_random_workloads(
         seed in any::<u64>(),
@@ -316,28 +317,13 @@ proptest! {
         let expected: Vec<Response> =
             requests.iter().map(|r| reference.execute(r.clone())).collect();
 
-        let placement = PlacementOptions {
-            rebalance: true,
-            window: 6,
-            max_moves: 4,
-            ..PlacementOptions::default()
-        };
-        let mut sharded = ShardedEngine::with_options(
-            shards,
-            ShardOptions { placement, ..ShardOptions::default() },
-        );
+        let mut sharded = ShardedEngine::new(shards);
         let tickets: Vec<_> = requests.iter().map(|r| sharded.submit(r.clone())).collect();
         let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
         prop_assert_eq!(&got, &expected);
 
-        let report = sharded.placement_report();
-        let per_shard = sharded.shutdown();
-        let ins: u64 = per_shard.iter().map(|s| s.migrations_in).sum();
-        let outs: u64 = per_shard.iter().map(|s| s.migrations_out).sum();
-        prop_assert_eq!(ins, report.migrations);
-        prop_assert_eq!(outs, report.migrations);
         let mut total = cut_engine::EngineStats::default();
-        for s in &per_shard {
+        for s in &sharded.shutdown() {
             total.merge(s);
         }
         prop_assert_eq!(total.queries, reference.stats().queries);
