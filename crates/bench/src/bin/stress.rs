@@ -39,9 +39,8 @@
 //! byte-identical to an in-process run of the same flags, which is the
 //! CI loopback gate. `--shards` and `--cache-entries` are *server*
 //! properties under a network split: pass them to `cut-server`, not to a
-//! `--remote` stress run. `--no-dynconn`, `--kernel` and
-//! `--kernel-threshold` are in-process only: `cut-server` has no such
-//! flags, and `--remote` rejects them.
+//! `--remote` stress run. `--kernel` is in-process only: `cut-server` has
+//! no such flag, and `--remote` rejects it.
 //!
 //! `--json-out PATH` writes the whole report as a machine-readable
 //! `BENCH_*.json` artifact with the same schema (`cut-stress/1`) local
@@ -201,9 +200,7 @@ struct Args {
     snapshot_every: Option<u64>,
     resident_cap: usize,
     fsync: bool,
-    no_dynconn: bool,
     kernel: bool,
-    kernel_threshold: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -231,9 +228,7 @@ fn parse_args() -> Result<Args, String> {
         snapshot_every: None,
         resident_cap: 0,
         fsync: false,
-        no_dynconn: false,
         kernel: false,
-        kernel_threshold: EngineConfig::default().kernel_threshold,
     };
     let mut connections_given = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -294,20 +289,14 @@ fn parse_args() -> Result<Args, String> {
                     value(&mut i)?.parse().map_err(|e| format!("--resident-cap: {e}"))?
             }
             "--fsync" => args.fsync = true,
-            "--no-dynconn" => args.no_dynconn = true,
             "--kernel" => args.kernel = true,
-            "--kernel-threshold" => {
-                args.kernel_threshold =
-                    value(&mut i)?.parse().map_err(|e| format!("--kernel-threshold: {e}"))?
-            }
             "--help" | "-h" => {
                 println!(
                     "stress --ops N --seed S [--graphs G] [--initial-n N] [--zipf Z] \
                      [--mix default|read-only|write-heavy] [--shards N] \
                      [--arrival closed|steady:R|poisson:R|bursts:B:P|diurnal:L:H] \
                      [--phases single|bursty|diurnal|flash|write-storm|whale] \
-                     [--trace-out PATH] [--trace-in PATH] [--cache-entries N] [--no-dynconn] \
-                     [--kernel] [--kernel-threshold N] \
+                     [--trace-out PATH] [--trace-in PATH] [--cache-entries N] [--kernel] \
                      [--dump-log PATH] [--remote ADDR [--connections N]] \
                      [--json-out PATH] [--metrics-out PATH] [--metrics-text PATH] \
                      [--data-dir PATH [--snapshot-every N] \
@@ -342,9 +331,6 @@ fn parse_args() -> Result<Args, String> {
             "--phases must be single|bursty|diurnal|flash|write-storm|whale (got '{}')",
             args.phases
         ));
-    }
-    if args.kernel_threshold == 0 {
-        return Err("--kernel-threshold must be at least 1".into());
     }
     if args.phases != "single" && args.arrival == ArrivalArg::Closed {
         // Presets are open-loop shapes; give them a sane default pace
@@ -385,12 +371,9 @@ fn parse_args() -> Result<Args, String> {
                  the cut-server command line, not here"
                 .into());
         }
-        if args.no_dynconn
-            || args.kernel
-            || args.kernel_threshold != EngineConfig::default().kernel_threshold
-        {
-            return Err("--remote drives a cut-server: --no-dynconn, --kernel and \
-                 --kernel-threshold are in-process only (cut-server has no such flags)"
+        if args.kernel {
+            return Err("--remote drives a cut-server: --kernel is in-process only \
+                 (cut-server has no such flag)"
                 .into());
         }
     }
@@ -488,13 +471,13 @@ fn main() {
     // (the trace does) — print only what is actually in effect.
     if let Some(path) = &args.trace_in {
         println!(
-            "cut-engine stress: trace={path} shards={} cache-entries={} dynconn={} kernel={}",
-            args.shards, args.cache_entries, !args.no_dynconn, args.kernel
+            "cut-engine stress: trace={path} shards={} cache-entries={} kernel={}",
+            args.shards, args.cache_entries, args.kernel
         );
     } else {
         println!(
             "cut-engine stress: ops={} seed={} graphs={} initial-n={} zipf={} mix={} shards={} \
-             arrival={:?} phases={} cache-entries={} dynconn={} kernel={}",
+             arrival={:?} phases={} cache-entries={} kernel={}",
             args.ops,
             args.seed,
             args.graphs,
@@ -505,7 +488,6 @@ fn main() {
             args.arrival,
             args.phases,
             args.cache_entries,
-            !args.no_dynconn,
             args.kernel
         );
     }
@@ -562,9 +544,7 @@ fn main() {
     let engine_cfg = EngineConfig {
         max_cache_entries: args.cache_entries,
         resident_cap: args.resident_cap,
-        dynamic_index: !args.no_dynconn,
         kernel: args.kernel,
-        kernel_threshold: args.kernel_threshold,
         ..EngineConfig::default()
     };
     let opts = ShardOptions {
@@ -854,14 +834,10 @@ fn print_index_efficiency(stats: &EngineStats) {
     let idx = &stats.index;
     println!();
     println!(
-        "index: csr builds={} reuses={} (reuse rate {:.1}%)  dsu fast-path={} rebuilds={} \
-         resizes={}",
+        "index: csr builds={} reuses={} (reuse rate {:.1}%)",
         idx.csr_builds,
         idx.csr_reuses,
         idx.reuse_rate() * 100.0,
-        idx.dsu_fast_hits,
-        idx.dsu_rebuilds,
-        idx.dsu_resizes,
     );
     println!(
         "cut gate: recomputes={} certified-skips={}",
@@ -880,11 +856,8 @@ fn print_index_efficiency(stats: &EngineStats) {
             idx.kernel_vertex_ratio(),
         );
         println!(
-            "kernel cuts: serves={} fallbacks={} parallel={} helpers-borrowed={}",
-            stats.kernel_cut_serves,
-            stats.kernel_cut_fallbacks,
-            stats.kernel_parallel_cuts,
-            stats.kernel_helpers_borrowed,
+            "kernel cuts: serves={} fallbacks={}",
+            stats.kernel_cut_serves, stats.kernel_cut_fallbacks,
         );
     }
 
@@ -1648,9 +1621,7 @@ fn render_json(
     out.push_str(&format!("    \"arrival\": {},\n", json_str(&format!("{:?}", args.arrival))));
     out.push_str(&format!("    \"phases\": {},\n", json_str(&args.phases)));
     out.push_str(&format!("    \"cache_entries\": {},\n", args.cache_entries));
-    out.push_str(&format!("    \"dynconn\": {},\n", !args.no_dynconn));
     out.push_str(&format!("    \"kernel\": {},\n", args.kernel));
-    out.push_str(&format!("    \"kernel_threshold\": {},\n", args.kernel_threshold));
     out.push_str(&format!("    \"remote\": {},\n", json_opt_str(args.remote.as_ref())));
     out.push_str(&format!(
         "    \"connections\": {}\n",
@@ -1682,9 +1653,6 @@ fn render_json(
         out.push_str(&format!("    \"lru_evictions\": {},\n", s.index.lru_evictions));
         out.push_str(&format!("    \"csr_builds\": {},\n", s.index.csr_builds));
         out.push_str(&format!("    \"csr_reuses\": {},\n", s.index.csr_reuses));
-        out.push_str(&format!("    \"dsu_fast_hits\": {},\n", s.index.dsu_fast_hits));
-        out.push_str(&format!("    \"dsu_rebuilds\": {},\n", s.index.dsu_rebuilds));
-        out.push_str(&format!("    \"dsu_resizes\": {},\n", s.index.dsu_resizes));
         out.push_str(&format!("    \"cut_recomputes\": {},\n", s.cut_recomputes));
         out.push_str(&format!("    \"cut_certified_skips\": {},\n", s.cut_certified_skips));
         out.push_str(&format!("    \"kernel_builds\": {},\n", s.index.kernel_builds));
@@ -1699,9 +1667,7 @@ fn render_json(
             s.index.kernel_vertex_ratio()
         ));
         out.push_str(&format!("    \"kernel_cut_serves\": {},\n", s.kernel_cut_serves));
-        out.push_str(&format!("    \"kernel_cut_fallbacks\": {},\n", s.kernel_cut_fallbacks));
-        out.push_str(&format!("    \"kernel_parallel_cuts\": {},\n", s.kernel_parallel_cuts));
-        out.push_str(&format!("    \"kernel_helpers_borrowed\": {}\n", s.kernel_helpers_borrowed));
+        out.push_str(&format!("    \"kernel_cut_fallbacks\": {}\n", s.kernel_cut_fallbacks));
         out.push_str("  },\n");
     }
 

@@ -75,34 +75,20 @@ pub fn schedule_levels(n: usize, opts: &MinCutOptions) -> usize {
 /// base instances, across `repetitions` independent runs.
 pub fn approx_min_cut(g: &Graph, opts: &MinCutOptions) -> CutResult {
     assert!(g.n() >= 2, "a cut needs at least two vertices");
+    let reps = if opts.repetitions == 0 {
+        (g.n() as f64).log2().ceil() as usize
+    } else {
+        opts.repetitions
+    };
     let mut best: Option<CutResult> = None;
-    for r in 0..repetition_count(g.n(), opts) {
-        let cut = approx_min_cut_repetition(g, opts, r as u64);
+    for r in 0..reps.max(1) {
+        let mut rng = SmallRng::seed_from_u64(opts.seed.wrapping_add(r as u64));
+        let cut = solve(g, g.n(), opts, &mut rng, 0);
         if best.as_ref().is_none_or(|b| cut.weight < b.weight) {
             best = Some(cut);
         }
     }
     best.expect("at least one repetition")
-}
-
-/// The resolved repetition count `approx_min_cut` runs for a graph of
-/// `n` vertices (the `0 ⇒ ⌈log₂ n⌉` default made explicit), always at
-/// least 1.
-pub fn repetition_count(n: usize, opts: &MinCutOptions) -> usize {
-    let reps =
-        if opts.repetitions == 0 { (n as f64).log2().ceil() as usize } else { opts.repetitions };
-    reps.max(1)
-}
-
-/// One independent repetition of the boosted recursion. Each repetition
-/// seeds its own RNG from `opts.seed + rep`, so repetitions share no
-/// random state — the property the borrowed-worker parallel kernel
-/// ([`crate::parallel`]) relies on to fan repetitions out across threads
-/// and still merge to the byte-identical sequential answer.
-pub fn approx_min_cut_repetition(g: &Graph, opts: &MinCutOptions, rep: u64) -> CutResult {
-    assert!(g.n() >= 2, "a cut needs at least two vertices");
-    let mut rng = SmallRng::seed_from_u64(opts.seed.wrapping_add(rep));
-    solve(g, g.n(), opts, &mut rng, 0)
 }
 
 fn solve(

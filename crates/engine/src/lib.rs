@@ -30,10 +30,11 @@
 //!
 //! Beneath both sits the **index layer** (the `cut_index` crate): every
 //! registry entry keeps a generation-stamped CSR snapshot (one build per
-//! mutation, shared by all reads in between), an incremental DSU so
-//! `Connectivity` skips BFS, running degree/weight summaries, and an LRU
-//! query cache. [`EngineStats`] reports how much work the layer absorbed
-//! (builds avoided, DSU fast-path hits, evictions).
+//! mutation, shared by all reads in between), a fully dynamic spanning
+//! forest so `Connectivity` skips BFS and never rebuilds, running
+//! degree/weight summaries, and an LRU query cache. [`EngineStats`]
+//! reports how much work the layer absorbed (builds avoided, certified
+//! carries, evictions).
 //!
 //! The [`workload`] module generates seeded, replayable request streams:
 //! closed-loop (weighted action mix + Zipf graph-popularity skew) or
@@ -92,7 +93,6 @@
 //! protocol.
 
 pub mod engine;
-pub mod pool;
 pub mod request;
 pub mod shard;
 pub mod store_api;
@@ -107,7 +107,6 @@ pub use cut_obs::{
     span_flags, Clock, Histogram, MonotonicClock, Registry, SlowLog, Span, TestClock,
 };
 pub use engine::{Engine, EngineConfig, EngineStats, GraphExport};
-pub use pool::{CutLoan, CutPool};
 pub use request::{GraphSpec, Mutation, Query, Request, Response, QUERY_KINDS};
 pub use shard::{ShardOptions, ShardedEngine, Ticket};
 pub use store_api::{GraphStore, RecoveredGraph};

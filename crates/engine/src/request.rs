@@ -289,7 +289,7 @@ impl Query {
     /// [`EngineConfig::resident_cap`]: crate::EngineConfig::resident_cap
     pub fn cost_weight(&self) -> u64 {
         match self {
-            // DSU fast path: near-free.
+            // O(1) dynamic-forest read: near-free.
             Query::Connectivity => 1,
             // One Dinic run / one priority sweep.
             Query::StCutWeight { .. } | Query::SingletonCut { .. } => 6,
@@ -360,6 +360,11 @@ pub(crate) fn decode_name(token: &str) -> Result<String, String> {
     Ok(out)
 }
 
+/// Most list items a parser reserves room for up front. Counts come from
+/// the line being parsed, that is from a client, so a larger count must
+/// not allocate before its items actually arrive.
+pub(crate) const MAX_PREALLOC: usize = 1 << 16;
+
 /// Pull the next whitespace token, or error with context.
 fn next_tok<'a>(tokens: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, String> {
     tokens.next().ok_or_else(|| format!("trace line ended early: expected {what}"))
@@ -405,7 +410,7 @@ impl GraphSpec {
             "edges" => {
                 let n = parse_tok(tokens, "edges n")?;
                 let m: usize = parse_tok(tokens, "edges m")?;
-                let mut edges = Vec::with_capacity(m);
+                let mut edges = Vec::with_capacity(m.min(MAX_PREALLOC));
                 for _ in 0..m {
                     let triple = next_tok(tokens, "u:v:w edge triple")?;
                     let mut parts = triple.split(':');
@@ -889,7 +894,7 @@ impl Response {
             },
             "graphs" => {
                 let count: usize = parse_tok(&mut tokens, "graphs count")?;
-                let mut names = Vec::with_capacity(count.min(1 << 16));
+                let mut names = Vec::with_capacity(count.min(MAX_PREALLOC));
                 for _ in 0..count {
                     names.push(name(&mut tokens)?);
                 }
@@ -976,7 +981,7 @@ mod tests {
 
     #[test]
     fn cost_weights_order_by_algorithmic_heft() {
-        // The proxy only needs sane ratios: connectivity (DSU fast path)
+        // The proxy only needs sane ratios: connectivity (O(1) read)
         // cheapest, k-cut (recursive splitting) dearest, mutations between.
         let connectivity = Request::Query { name: "g".into(), query: Query::Connectivity };
         let kcut = Request::Query { name: "g".into(), query: Query::KCut { k: 3 } };
@@ -1076,6 +1081,9 @@ mod tests {
             "kcut g notanumber",
             "create g gnm 1 2 3",    // truncated spec
             "create g blob 1 2 3 4", // unknown spec kind
+            // Huge edge count, one triple: must fail on the missing
+            // triples, not abort reserving room for them.
+            "create x edges 3 1099511627776 0:1:1",
         ] {
             assert!(Request::from_trace_line(bad).is_err(), "should reject {bad:?}");
         }

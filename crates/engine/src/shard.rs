@@ -63,7 +63,6 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvE
 use cut_obs::{span_flags, Clock, MonotonicClock, Registry, SlowLog, Span};
 
 use crate::engine::{Engine, EngineConfig, EngineStats};
-use crate::pool::CutPool;
 use crate::request::{Request, Response};
 use crate::store_api::GraphStore;
 
@@ -420,14 +419,6 @@ impl ShardedEngine {
     /// the stress harness caps at 1024).
     pub fn with_options(shards: usize, opts: ShardOptions) -> Self {
         assert!(shards > 0, "a sharded engine needs at least one shard");
-        let mut opts = opts;
-        // With the kernel on, every shard's engine shares one idle-worker
-        // ledger: a worker parking with an empty queue becomes loanable
-        // capacity for whichever shard is chewing a whale cut. (The plain
-        // Engine keeps the disabled pool: nobody to borrow from.)
-        if opts.cfg.kernel && shards > 1 && !opts.cfg.pool.is_enabled() {
-            opts.cfg.pool = CutPool::enabled();
-        }
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
@@ -452,7 +443,6 @@ impl ShardedEngine {
                 engine,
                 registry: Registry::new(),
                 slowlog: SlowLog::new(opts.slowlog_cap),
-                pool: opts.cfg.pool.clone(),
                 clock: Arc::clone(&opts.clock),
             };
             let handle = std::thread::Builder::new()
@@ -605,36 +595,18 @@ struct Worker {
     registry: Registry,
     /// Worst-N spans served by this shard, merged at `stats slowlog`.
     slowlog: SlowLog,
-    /// The kernel's idle-worker ledger, which this worker joins while it
-    /// waits for work.
-    pool: CutPool,
     /// Stamps each span's dequeue and end marks.
     clock: Arc<dyn Clock>,
 }
 
 impl Worker {
     fn run(mut self) -> EngineStats {
-        while let Some(job) = self.next_job() {
+        // `recv` fails only at graceful exit: every sender dropped and the
+        // channel drained.
+        while let Ok(job) = self.jobs.recv() {
             self.exec(job);
         }
         self.engine.stats()
-    }
-
-    /// Next job, or `None` at graceful exit (every sender dropped and the
-    /// channel drained).
-    fn next_job(&self) -> Option<Job> {
-        match self.jobs.try_recv() {
-            Ok(job) => return Some(job),
-            Err(TryRecvError::Disconnected) => return None,
-            Err(TryRecvError::Empty) => {}
-        }
-        // A parked worker's core is loanable: register it with the
-        // kernel pool for the duration of the wait (no-op when the pool
-        // is disabled).
-        self.pool.enter_idle();
-        let job = self.jobs.recv().ok();
-        self.pool.leave_idle();
-        job
     }
 
     fn exec(&mut self, job: Job) {
@@ -937,7 +909,7 @@ mod tests {
         }
         assert_eq!(total.cut_recomputes, 2, "one real compute per graph");
         assert_eq!(total.cut_certified_skips, 2, "one carry per graph");
-        assert_eq!(total.index.dsu_rebuilds, 0, "dynamic path: no rebuilds anywhere");
+        assert_eq!(total.index.csr_builds, 2, "the carries build no CSR");
     }
 
     #[test]
@@ -1025,10 +997,9 @@ mod tests {
 
     #[test]
     fn kernelized_shards_match_plain_engine() {
-        // Kernelized shards sharing one borrowed-worker pool: every
-        // response must still equal an unkernelized, unsharded engine's,
-        // cached flags included.
-        let cfg = EngineConfig { kernel: true, kernel_threshold: 4, ..EngineConfig::default() };
+        // Kernelized shards: every response must still equal an
+        // unkernelized, unsharded engine's, cached flags included.
+        let cfg = EngineConfig { kernel: true, ..EngineConfig::default() };
         let mut sharded =
             ShardedEngine::with_options(3, ShardOptions { cfg, ..ShardOptions::default() });
         let mut plain = Engine::new();

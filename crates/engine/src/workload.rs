@@ -555,8 +555,9 @@ impl Timeline {
     /// The write-storm preset: the adversarial shape for the dynamic
     /// index. A steady soak builds up graph state, then a delete-heavy
     /// mutation storm (bursty arrivals at 5× peak, hot-set rotation) keeps
-    /// invalidating between reads — the regime where the incremental DSU
-    /// pays a full rebuild per connectivity read — and a read-mostly audit
+    /// invalidating between reads — the regime where an insert-only
+    /// union-find would pay a full rebuild per connectivity read — and a
+    /// read-mostly audit
     /// sweep closes over the churned graphs. `mix` shapes the soak and
     /// audit phases; the storm forces its own delete-heavy mix so the
     /// preset is adversarial regardless of the configured mix.

@@ -1,8 +1,8 @@
 //! Fully dynamic connectivity: a Holm–de Lichtenberg–Thorup-style level
 //! structure (spanning forest per level, edge levels, replacement-edge
 //! search on delete) kept current across edge inserts *and* deletes, so
-//! connectivity reads never pay the O(m α) DSU rebuild a delete forces on
-//! the incremental path.
+//! connectivity reads never pay the O(m α) union-find rebuild a delete
+//! would force on an insert-only structure.
 //!
 //! # Structure
 //!

@@ -1,6 +1,5 @@
 //! The per-graph incremental index: generation-stamped CSR snapshots,
-//! fully dynamic connectivity (with the incremental DSU as legacy path
-//! and shadow oracle), and running degree/weight summaries.
+//! fully dynamic connectivity, and running degree/weight summaries.
 
 use crate::dynconn::DynConn;
 use crate::kernel::{Kernel, KernelRead, MAX_PENDING_PATCH};
@@ -16,18 +15,6 @@ pub struct IndexStats {
     pub csr_builds: u64,
     /// Snapshot requests served by an already-stamped build (builds avoided).
     pub csr_reuses: u64,
-    /// Connectivity reads answered without any rebuild: the dynamic-forest
-    /// labels or the live DSU (no rebuild, no BFS either way).
-    pub dsu_fast_hits: u64,
-    /// Connectivity reads that had to rebuild the DSU (after a delete or
-    /// contraction invalidated it). Legacy-path only — the dynamic forest
-    /// never rebuilds on read.
-    pub dsu_rebuilds: u64,
-    /// Connectivity reads that rebuilt only because the DSU was sized for
-    /// a different vertex count (clean resize, e.g. after vertex growth) —
-    /// *not* because a mutation dirtied it. Attributed separately so
-    /// `dsu_rebuilds` measures exactly the invalidation cost.
-    pub dsu_resizes: u64,
     /// Entries evicted from LRU query caches.
     pub lru_evictions: u64,
     /// Kernels built from scratch (two-stage reduction over the full
@@ -58,9 +45,6 @@ impl IndexStats {
         let IndexStats {
             csr_builds,
             csr_reuses,
-            dsu_fast_hits,
-            dsu_rebuilds,
-            dsu_resizes,
             lru_evictions,
             kernel_builds,
             kernel_reuses,
@@ -73,9 +57,6 @@ impl IndexStats {
         } = *other;
         self.csr_builds += csr_builds;
         self.csr_reuses += csr_reuses;
-        self.dsu_fast_hits += dsu_fast_hits;
-        self.dsu_rebuilds += dsu_rebuilds;
-        self.dsu_resizes += dsu_resizes;
         self.lru_evictions += lru_evictions;
         self.kernel_builds += kernel_builds;
         self.kernel_reuses += kernel_reuses;
@@ -128,21 +109,6 @@ pub struct GraphSummary {
     pub max_weighted_degree: u64,
 }
 
-/// How a legacy-path connectivity read was served — the attribution the
-/// rebuild counters are built from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnRead {
-    /// The live DSU answered as-is: no rebuild of any kind.
-    Fast,
-    /// The DSU was clean but sized for a different vertex count, so it was
-    /// re-derived. This is capacity bookkeeping, not mutation cost — it
-    /// feeds [`IndexStats::dsu_resizes`], never `dsu_rebuilds`.
-    Resized,
-    /// A delete/contraction had dirtied the DSU and this read paid the
-    /// O(m α) reconstruction ([`IndexStats::dsu_rebuilds`]).
-    Rebuilt,
-}
-
 /// The incremental index kept alongside one graph's edge list.
 ///
 /// The owner holds the authoritative `(n, edges)` state and *notifies* the
@@ -162,13 +128,8 @@ pub enum ConnRead {
 ///   [`same_component_live`](GraphIndex::same_component_live) answer in
 ///   O(1) with zero rebuilds — deletes included. Its partition version
 ///   feeds [`partition_generation`](GraphIndex::partition_generation),
-///   the certificate the engine's cut-cache gating keys on.
-/// - **DSU (legacy path + shadow oracle).** Inserts union in O(α)
-///   (connectivity can only increase). Deletes and contractions can split
-///   or relabel components, which a DSU cannot track, so they mark it
-///   dirty; the next [`components`](GraphIndex::components) read rebuilds
-///   it from the edge list in O(m α) and fast-paths thereafter. In debug
-///   builds the live reads cross-check against a from-scratch DSU.
+///   the certificate the engine's cut-cache gating keys on. In debug
+///   builds the reads cross-check against a from-scratch DSU.
 /// - **Summaries.** Degree/weight totals update in O(1) per edge
 ///   notification and are recomputed only on
 ///   [`rebuild_for`](GraphIndex::rebuild_for).
@@ -180,11 +141,7 @@ pub struct GraphIndex {
     /// Generation the snapshot was built at; valid iff equal to
     /// `generation`.
     snapshot_generation: u64,
-    dsu: Dsu,
-    /// Set by deletes/contractions; cleared by the lazy rebuild.
-    dsu_dirty: bool,
-    /// Always-maintained dynamic connectivity (never dirty, never rebuilt
-    /// on read).
+    /// Always-maintained dynamic connectivity (never rebuilt on read).
     dynconn: DynConn,
     /// The generation at (or before) which the vertex partition last
     /// changed. A cached partition-dependent answer stamped at generation
@@ -204,15 +161,13 @@ pub struct GraphIndex {
 }
 
 impl GraphIndex {
-    /// Index a fresh graph: DSU and summaries are built eagerly (O(n + m)),
-    /// the CSR snapshot lazily on first use.
+    /// Index a fresh graph: the dynamic forest and summaries are built
+    /// eagerly, the CSR snapshot lazily on first use.
     pub fn new(n: usize, edges: &[Edge]) -> Self {
         let mut index = Self {
             generation: 0,
             snapshot: None,
             snapshot_generation: 0,
-            dsu: Dsu::new(0),
-            dsu_dirty: false,
             dynconn: DynConn::new(0, &[]),
             partition_generation: 0,
             degrees: Vec::new(),
@@ -266,12 +221,6 @@ impl GraphIndex {
                 self.drop_kernel();
             }
         }
-        // Connectivity only grows under insertion, so the DSU stays exact
-        // in O(α) — unless it is already dirty, in which case the pending
-        // rebuild covers this edge too.
-        if !self.dsu_dirty {
-            self.dsu.union(u, v);
-        }
         let was = self.dynconn.version();
         self.dynconn.insert(u, v);
         if self.dynconn.version() != was {
@@ -290,11 +239,8 @@ impl GraphIndex {
         // (e.g. un-justify a heavy contraction); no patch rule is sound,
         // so the kernel invalidates outright.
         self.drop_kernel();
-        // A deletion can split a component; the DSU cannot un-union, so it
-        // goes dirty and rebuilds lazily on the next legacy read. The
-        // dynamic forest absorbs the delete exactly (replacement-edge
-        // search), so the live path never rebuilds.
-        self.dsu_dirty = true;
+        // The dynamic forest absorbs the delete exactly (replacement-edge
+        // search), so connectivity never rebuilds.
         let was = self.dynconn.version();
         self.dynconn.delete(u, v);
         if self.dynconn.version() != was {
@@ -314,17 +260,14 @@ impl GraphIndex {
     }
 
     fn refresh(&mut self, n: usize, edges: &[Edge]) {
-        self.dsu = Dsu::new(n);
         self.degrees = vec![0; n];
         self.total_weight = 0;
         self.m = edges.len();
         for e in edges {
-            self.dsu.union(e.u, e.v);
             self.degrees[e.u as usize] += e.w;
             self.degrees[e.v as usize] += e.w;
             self.total_weight += e.w;
         }
-        self.dsu_dirty = false;
         self.dynconn = DynConn::new(n, edges);
         // A wholesale rebuild (contraction) can change the partition
         // arbitrarily; claim the current generation.
@@ -392,38 +335,6 @@ impl GraphIndex {
             true
         };
         (self.snapshot.as_ref().expect("snapshot just ensured"), built)
-    }
-
-    /// Connected-component count on the legacy DSU path. Returns
-    /// `(components, read)`: [`ConnRead::Fast`] reads the live DSU as-is;
-    /// [`ConnRead::Rebuilt`] means a delete/contract forced the O(m α)
-    /// reconstruction; [`ConnRead::Resized`] means the DSU was clean but
-    /// sized for a different `n` — same reconstruction cost, different
-    /// cause, attributed separately so the rebuild counter measures
-    /// exactly the mutation-invalidation cost.
-    pub fn components(&mut self, n: usize, edges: &[Edge]) -> (usize, ConnRead) {
-        let read = if self.dsu_dirty {
-            ConnRead::Rebuilt
-        } else if self.dsu.len() != n {
-            ConnRead::Resized
-        } else {
-            ConnRead::Fast
-        };
-        if read != ConnRead::Fast {
-            self.dsu = Dsu::new(n);
-            for e in edges {
-                self.dsu.union(e.u, e.v);
-            }
-            self.dsu_dirty = false;
-        }
-        (self.dsu.set_count(), read)
-    }
-
-    /// True if `u` and `v` are connected, through the same DSU (and the
-    /// same laziness) as [`components`](GraphIndex::components).
-    pub fn connected(&mut self, n: usize, edges: &[Edge], u: u32, v: u32) -> bool {
-        self.components(n, edges);
-        self.dsu.same(u, v)
     }
 
     /// Connected-component count from the dynamic forest: O(1), never
@@ -545,34 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn dsu_fast_path_survives_inserts() {
-        let edges = vec![Edge::new(0, 1, 1), Edge::new(2, 3, 1)];
-        let mut idx = GraphIndex::new(5, &edges);
-        // 0-1 | 2-3 | 4.
-        assert_eq!(idx.components(5, &edges), (3, ConnRead::Fast));
-        let mut edges = edges;
-        edges.push(Edge::new(1, 2, 1));
-        idx.note_insert(1, 2, 1);
-        // Insert merged in O(α): still no rebuild.
-        assert_eq!(idx.components(5, &edges), (2, ConnRead::Fast));
-        assert!(idx.connected(5, &edges, 0, 3));
-        assert!(!idx.connected(5, &edges, 0, 4));
-    }
-
-    #[test]
-    fn delete_goes_dirty_and_rebuilds_lazily() {
-        let mut edges = vec![Edge::new(0, 1, 1), Edge::new(1, 2, 1)];
-        let mut idx = GraphIndex::new(3, &edges);
-        assert_eq!(idx.components(3, &edges), (1, ConnRead::Fast));
-        let e = edges.pop().unwrap();
-        idx.note_delete(e.u, e.v, e.w);
-        // The split is only visible after the lazy rebuild.
-        assert_eq!(idx.components(3, &edges), (2, ConnRead::Rebuilt));
-        // ... and the rebuilt DSU fast-paths again.
-        assert_eq!(idx.components(3, &edges), (2, ConnRead::Fast));
-    }
-
-    #[test]
     fn rebuild_for_handles_contraction_shapes() {
         let edges = path(6);
         let mut idx = GraphIndex::new(6, &edges);
@@ -581,7 +464,7 @@ mod tests {
         let contracted = vec![Edge::new(0, 1, 3), Edge::new(1, 2, 2), Edge::new(3, 4, 7)];
         idx.rebuild_for(5, &contracted);
         assert!(!idx.snapshot_is_fresh());
-        assert_eq!(idx.components(5, &contracted), (2, ConnRead::Fast));
+        assert_eq!(idx.components_live(5, &contracted), 2);
         assert_eq!(
             idx.summary(),
             GraphSummary { n: 5, m: 3, total_weight: 12, max_weighted_degree: 7 }
@@ -617,10 +500,10 @@ mod tests {
     #[test]
     fn edgeless_and_empty_graphs() {
         let mut idx = GraphIndex::new(0, &[]);
-        assert_eq!(idx.components(0, &[]), (0, ConnRead::Fast));
+        assert_eq!(idx.components_live(0, &[]), 0);
         assert_eq!(idx.summary().max_weighted_degree, 0);
         let mut idx = GraphIndex::new(3, &[]);
-        assert_eq!(idx.components(3, &[]), (3, ConnRead::Fast));
+        assert_eq!(idx.components_live(3, &[]), 3);
         let (g, built) = idx.snapshot(3, &[]);
         assert!(built);
         assert_eq!((g.n(), g.m()), (3, 0));
@@ -632,9 +515,6 @@ mod tests {
         let b = IndexStats {
             csr_builds: 1,
             csr_reuses: 3,
-            dsu_fast_hits: 5,
-            dsu_rebuilds: 2,
-            dsu_resizes: 4,
             lru_evictions: 7,
             kernel_builds: 1,
             kernel_reuses: 2,
@@ -648,9 +528,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.csr_builds, 2);
         assert_eq!(a.csr_reuses, 6);
-        assert_eq!(a.dsu_fast_hits, 5);
-        assert_eq!(a.dsu_rebuilds, 2);
-        assert_eq!(a.dsu_resizes, 4);
         assert_eq!(a.lru_evictions, 7);
         assert_eq!(a.kernel_builds, 1);
         assert_eq!(a.kernel_reuses, 2);
@@ -714,63 +591,12 @@ mod tests {
     }
 
     #[test]
-    fn clean_resize_is_not_a_rebuild() {
-        // A clean DSU asked about a different vertex count re-derives, but
-        // the cause is capacity bookkeeping — attributed as Resized, never
-        // Rebuilt (the pre-fix code folded this into dsu_rebuilds and
-        // inflated the counter the write-heavy acceptance gate measures).
-        let edges = vec![Edge::new(0, 1, 1)];
-        let mut idx = GraphIndex::new(2, &edges);
-        assert_eq!(idx.components(2, &edges), (1, ConnRead::Fast));
-        // Owner grew to 4 vertices without an index notification.
-        assert_eq!(idx.components(4, &edges), (3, ConnRead::Resized));
-        assert_eq!(idx.components(4, &edges), (3, ConnRead::Fast), "resize sticks");
-    }
-
-    #[test]
-    fn dirty_wins_over_resize_attribution() {
-        // When a mutation dirtied the DSU *and* the vertex count moved,
-        // the read is attributed to the mutation (Rebuilt): the rebuild
-        // would have happened regardless of the resize.
-        let mut edges = vec![Edge::new(0, 1, 1), Edge::new(1, 2, 1)];
-        let mut idx = GraphIndex::new(3, &edges);
-        let e = edges.pop().unwrap();
-        idx.note_delete(e.u, e.v, e.w);
-        assert_eq!(idx.components(4, &edges), (3, ConnRead::Rebuilt));
-    }
-
-    #[test]
-    fn note_insert_while_dirty_drops_the_union() {
-        // Pinned legacy semantics: with a rebuild pending, note_insert
-        // deliberately skips the DSU union (the rebuild covers the edge).
-        // The dynamic structure must mirror the *graph*, not this DSU
-        // laziness — components_live sees the insert immediately.
-        let mut edges = vec![Edge::new(0, 1, 1), Edge::new(1, 2, 1)];
-        let mut idx = GraphIndex::new(4, &edges);
-        let e = edges.pop().unwrap(); // drop (1,2)
-        idx.note_delete(e.u, e.v, e.w);
-        assert!(idx.dsu_dirty, "delete marks the DSU dirty");
-        let before = idx.dsu.set_count();
-        edges.push(Edge::new(2, 3, 1));
-        idx.note_insert(2, 3, 1);
-        assert!(idx.dsu_dirty, "insert while dirty leaves the rebuild pending");
-        assert_eq!(idx.dsu.set_count(), before, "the union was dropped, not applied");
-        // The dynamic path answers the true partition regardless:
-        // {0,1} {2,3}.
-        assert_eq!(idx.components_live(4, &edges), 2);
-        // ... and the legacy read converges to the same answer via its
-        // rebuild.
-        assert_eq!(idx.components(4, &edges), (2, ConnRead::Rebuilt));
-    }
-
-    #[test]
     fn live_path_absorbs_deletes_without_rebuilds() {
         let mut edges = vec![Edge::new(0, 1, 1), Edge::new(1, 2, 1), Edge::new(0, 2, 1)];
         let mut idx = GraphIndex::new(4, &edges);
         assert_eq!(idx.components_live(4, &edges), 2); // {0,1,2} {3}
         assert!(idx.same_component_live(4, &edges, 0, 2));
-        // Delete a cycle edge: still connected, no legacy rebuild needed
-        // for the live answer.
+        // Delete a cycle edge: still connected.
         let e = edges.remove(2);
         idx.note_delete(e.u, e.v, e.w);
         assert_eq!(idx.components_live(4, &edges), 2);
@@ -779,9 +605,6 @@ mod tests {
         idx.note_delete(e.u, e.v, e.w);
         assert_eq!(idx.components_live(4, &edges), 3);
         assert!(!idx.same_component_live(4, &edges, 1, 2));
-        // The legacy DSU is still dirty the whole time — the live reads
-        // never rebuilt it.
-        assert!(idx.dsu_dirty);
     }
 
     #[test]

@@ -16,10 +16,6 @@
 //!     with zero BFS and zero rebuilds, and
 //!     [`GraphIndex::partition_generation`] certifies when the vertex
 //!     partition last changed (the engine's cut-cache gate);
-//!   - an **incremental DSU** kept as the legacy read path
-//!     ([`GraphIndex::components`]) and debug-assert shadow oracle: edge
-//!     inserts union in O(α); deletes and contractions mark it dirty and
-//!     it is rebuilt lazily on the next legacy connectivity read;
 //!   - **running degree/weight summaries** (per-vertex weighted degrees,
 //!     total weight, edge count) maintained O(1) per edge mutation;
 //!   - a **generation-stamped reduction kernel** ([`Kernel`], exposed
@@ -33,8 +29,8 @@
 //!   over an arena, O(1) get/insert/evict) replacing reset-on-full
 //!   policies; the engine keys it by query value.
 //! - [`IndexStats`] — the observability counters the stress harness
-//!   reports: CSR builds vs. reuses, DSU fast-path hits vs. rebuilds,
-//!   LRU evictions.
+//!   reports: CSR builds vs. reuses, LRU evictions, kernel builds,
+//!   patches and reductions.
 //!
 //! Everything here is deterministic: no wall clocks, no hash-order
 //! decisions (LRU eviction follows recency order, snapshot builds follow
@@ -49,8 +45,9 @@
 //! let edges = vec![Edge::new(0, 1, 4), Edge::new(1, 2, 7)];
 //! let mut index = GraphIndex::new(4, &edges);
 //!
-//! // Connectivity is answered by the DSU — no BFS, no CSR build.
-//! assert_eq!(index.components(4, &edges).0, 2);
+//! // Connectivity is answered by the dynamic forest — no BFS, no CSR
+//! // build.
+//! assert_eq!(index.components_live(4, &edges), 2);
 //!
 //! // The CSR snapshot is built once per generation ...
 //! let (_, built) = index.snapshot(4, &edges);
@@ -65,6 +62,6 @@ pub mod kernel;
 pub mod lru;
 
 pub use dynconn::DynConn;
-pub use index::{ConnRead, GraphIndex, GraphSummary, IndexStats};
+pub use index::{GraphIndex, GraphSummary, IndexStats};
 pub use kernel::{Kernel, KernelDelta, KernelRead};
 pub use lru::LruCache;

@@ -7,8 +7,8 @@
 //!
 //! Engine flags: `--shards N` (graphs route to shards by the hash of
 //! their name) and `--cache-entries N`. A `stress --remote` run leaves
-//! these to the server. The stress harness's `--no-dynconn`, `--kernel`
-//! and `--kernel-threshold` are in-process only and have no server flag.
+//! these to the server. The stress harness's `--kernel` is in-process
+//! only and has no server flag.
 //! Serving-layer flags:
 //! `--addr HOST:PORT`, `--max-conns N`, `--idle-timeout-ms N`, and
 //! `--log PATH` (the deterministic operation log, byte-comparable to an

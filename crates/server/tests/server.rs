@@ -415,6 +415,42 @@ fn multi_graph_server_matches_plain_engine() {
     run.join().expect("server run");
 }
 
+/// A `create` line whose edge count dwarfs the triples it carries is a
+/// protocol error for that line alone: the server must not reserve room
+/// for the claimed edges before they arrive, and the same session goes on
+/// being served.
+#[test]
+fn huge_edge_count_in_create_is_an_error_not_an_abort() {
+    let (addr, handle, run) = start(sharded_cfg(2));
+    let stream = TcpStream::connect(&addr).expect("raw connect");
+    let mut w = stream.try_clone().expect("clone");
+    let mut r = BufReader::new(stream);
+    let mut line = String::new();
+    writeln!(w, "HELLO {PROTOCOL_VERSION}").unwrap();
+    r.read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), format!("OK {PROTOCOL_VERSION}"));
+
+    writeln!(w, "create x edges 3 1099511627776 0:1:1").unwrap();
+    line.clear();
+    r.read_line(&mut line).unwrap();
+    assert!(
+        matches!(Response::from_trace_line(line.trim_end()), Ok(Response::Error { .. })),
+        "expected an error line, got {line:?}"
+    );
+
+    writeln!(w, "{}", create_ring("x").to_trace_line()).unwrap();
+    line.clear();
+    r.read_line(&mut line).unwrap();
+    assert!(
+        matches!(Response::from_trace_line(line.trim_end()), Ok(Response::Created { .. })),
+        "the next request must be served, got {line:?}"
+    );
+
+    drop(w);
+    handle.shutdown();
+    run.join().expect("server run");
+}
+
 /// Flags the binary no longer has fail through the generic unknown-flag
 /// path: exit 2, `unknown flag` on stderr, no socket bound.
 #[test]

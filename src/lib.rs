@@ -37,7 +37,7 @@
 //! | [`cut_tree`] | heavy-light decomposition, binarized paths, low-depth decomposition, RMQ |
 //! | [`ampc_primitives`] | in-model chain compression, rooting, aggregation, sort, connectivity, MSF |
 //! | [`mincut_core`] | Algorithms 1–4 (reference + in-model), contraction oracle, baselines |
-//! | [`cut_index`] | per-graph incremental index: generation-stamped CSR snapshots, DSU connectivity, LRU cache |
+//! | [`cut_index`] | per-graph incremental index: generation-stamped CSR snapshots, fully dynamic connectivity, LRU cache |
 //! | [`cut_engine`] | multi-graph cut-query engine: registry, mutations, epoch-cached queries, sharded serving, seeded workloads |
 //!
 //! ## Serving queries
@@ -47,7 +47,8 @@
 //! edges, contract vertices), and issue queries through one
 //! `Engine::execute(Request) -> Response` entry point. Query answers are
 //! cached per mutation epoch in an LRU, the [`cut_index`] layer amortizes
-//! CSR builds and answers connectivity from an incremental DSU, seeded
+//! CSR builds and answers connectivity from a fully dynamic spanning
+//! forest, seeded
 //! workloads replay deterministically, and
 //! `cargo run --release -p cut_bench --bin stress` measures the whole
 //! stack (ops/sec, per-action latency percentiles, cache hit rate, index

@@ -224,12 +224,13 @@ proptest! {
         prop_assert_eq!(total.index.csr_builds, reference.stats().index.csr_builds);
     }
 
-    /// The index layer's DSU-backed `Connectivity` answers equal BFS on a
-    /// fresh snapshot at every point of a random mutate/query
-    /// interleaving — across the O(α) insert fast path, the lazy rebuild
-    /// after deletes, and the wholesale refresh after contractions.
+    /// The index layer's `Connectivity` answers, read from the dynamic
+    /// spanning forest, equal BFS on a fresh snapshot at every point of a
+    /// random mutate/query interleaving — across inserts, replacement-edge
+    /// searches after deletes, and the wholesale refresh after
+    /// contractions.
     #[test]
-    fn dsu_connectivity_equals_bfs_across_interleavings(
+    fn connectivity_equals_bfs_across_interleavings(
         n0 in 6usize..20,
         rounds in 1usize..12,
         seed in any::<u64>(),
@@ -266,8 +267,8 @@ proptest! {
             let r = engine.execute(Request::Mutate { name: "g".into(), op });
             prop_assert!(matches!(r, Response::Mutated { .. }), "mutation failed: {}", r);
 
-            // ... then the DSU answer must equal BFS on a fresh snapshot,
-            // and so must the cached repeat.
+            // ... then the forest's answer must equal BFS on a fresh
+            // snapshot, and so must the cached repeat.
             let expected = engine.snapshot("g").expect("registered").component_count();
             for _ in 0..2 {
                 match engine.execute(Request::Query { name: "g".into(), query: Query::Connectivity }) {
