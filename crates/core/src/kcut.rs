@@ -46,12 +46,36 @@ pub struct KCutResult {
 
 /// Greedy approximate Min k-Cut (Algorithm 4).
 ///
+/// When `n ≤ exact_below`, every component is cut by Stoer–Wagner, whose
+/// dense matrix sums parallel edges anyway, so the split loop runs on
+/// [`Graph::collapsed`] — work over distinct vertex pairs, not parallel
+/// edges — and only `weight` and `cut_edges` are read off `g`. Above it
+/// the inner approximate cuts draw one priority per edge, so the loop
+/// runs on `g` itself.
+///
 /// Panics unless `1 ≤ k ≤ n`.
 pub fn apx_split(g: &Graph, opts: &KCutOptions) -> KCutResult {
     let n = g.n();
     let k = opts.k;
     assert!(k >= 1 && k <= n, "need 1 <= k <= n");
+    let (labels, iterations) =
+        if n <= opts.exact_below { split(&g.collapsed(), opts) } else { split(g, opts) };
+    let weight = kcut_weight(g, &labels);
+    let cut_edges: Vec<u32> = g
+        .edges()
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| labels[e.u as usize] != labels[e.v as usize])
+        .map(|(i, _)| i as u32)
+        .collect();
+    KCutResult { weight, labels, cut_edges, iterations }
+}
 
+/// The greedy loop of [`apx_split`]: the `k`-part labels and the number
+/// of iterations.
+fn split(g: &Graph, opts: &KCutOptions) -> (Vec<u32>, usize) {
+    let n = g.n();
+    let k = opts.k;
     let mut removed = vec![false; g.m()];
     let mut iterations = 0;
     loop {
@@ -62,16 +86,7 @@ pub fn apx_split(g: &Graph, opts: &KCutOptions) -> KCutResult {
         if ncomp >= k {
             // Merge surplus parts (a cut side may itself have been
             // disconnected, overshooting k) and finish.
-            let labels = merge_to_k(g, &comp, ncomp, k);
-            let weight = kcut_weight(g, &labels);
-            let cut_edges: Vec<u32> = g
-                .edges()
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| labels[e.u as usize] != labels[e.v as usize])
-                .map(|(i, _)| i as u32)
-                .collect();
-            return KCutResult { weight, labels, cut_edges, iterations };
+            return (merge_to_k(g, &comp, ncomp, k), iterations);
         }
         iterations += 1;
 
@@ -233,6 +248,33 @@ mod tests {
         check_result(&g, 3, &r);
         assert_eq!(r.weight, 2, "should cut exactly the two bridges");
         assert_eq!(r.iterations, 2);
+    }
+
+    #[test]
+    fn collapsed_split_matches_per_edge_split_on_multigraphs() {
+        // Below exact_below apx_split runs the loop on the collapsed graph;
+        // the per-edge loop on the multigraph must give the same labels,
+        // iteration count and weight.
+        let mut rng = SmallRng::seed_from_u64(4);
+        for trial in 0..80 {
+            let n = rng.gen_range(2..=14);
+            let max_m = n * (n - 1) / 2;
+            let base = if trial % 3 == 0 {
+                gen::gnm(n, rng.gen_range(0..=max_m), 1..=9, &mut rng)
+            } else {
+                gen::connected_gnm(n, rng.gen_range(n - 1..=max_m), 1..=9, &mut rng)
+            };
+            let g = gen::multiplied(&base, [1, 4, 50][trial % 3], 1..=9, &mut rng);
+            let k = rng.gen_range(1..=n);
+            let o = opts(k);
+            assert!(n <= o.exact_below);
+            let r = apx_split(&g, &o);
+            let (labels, iterations) = split(&g, &o);
+            assert_eq!(r.labels, labels, "trial={trial}");
+            assert_eq!(r.iterations, iterations, "trial={trial}");
+            assert_eq!(r.weight, kcut_weight(&g, &labels), "trial={trial}");
+            check_result(&g, k, &r);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 
 use crate::contraction::contract_prefix;
 use crate::priorities::exponential_priorities;
-use crate::singleton::{singleton_cut_side, smallest_singleton_cut};
+use crate::singleton::SingletonEngine;
 
 /// Options for [`approx_min_cut`].
 #[derive(Debug, Clone)]
@@ -120,8 +120,9 @@ fn solve(
     for _ in 0..branch {
         let prio = exponential_priorities(g, rng);
         // Track singleton cuts over this copy's whole contraction.
-        let sc = smallest_singleton_cut(g, &prio);
-        let side = singleton_cut_side(g, &prio, sc);
+        let engine = SingletonEngine::new(g, &prio);
+        let sc = engine.smallest(g);
+        let side = engine.bag(sc.leader, sc.time);
         consider(CutResult { weight: sc.weight, side }, &mut best);
         // Contract the copy by the schedule's factor and recurse.
         let (h, labels) = contract_prefix(g, &prio, target);

@@ -29,7 +29,10 @@ pub fn exponential_priorities(g: &Graph, rng: &mut impl Rng) -> Vec<u64> {
             (-u.ln() / e.w as f64, i as u32)
         })
         .collect();
-    clock.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    // Clocks are positive and finite, so `total_cmp` is their numeric
+    // order; the index makes every key unique, so an unstable sort yields
+    // the same ranks as a stable one.
+    clock.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut prio = vec![0u64; m];
     for (rank, &(_, e)) in clock.iter().enumerate() {
         prio[e as usize] = rank as u64 + 1;

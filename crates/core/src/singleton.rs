@@ -11,12 +11,18 @@
 //!    (Lemmas 10–11);
 //! 4. per-(edge, leader) time intervals (Lemmas 12–13), resolved through
 //!    leader chains in the separator tree instead of per-level re-rooting
-//!    (equivalence property-tested in `cut-tree::septree`);
+//!    (equivalence property-tested in `cut-tree::septree`). An edge's
+//!    intervals depend only on its endpoints, never on its own priority,
+//!    so [`SingletonEngine::smallest`] builds them once per distinct
+//!    vertex pair with the pair's summed weight: parallel edges cost one
+//!    O(m) folding pass, not one leader-chain walk each;
 //! 5. per-leader weighted stabbing minimum (Lemma 14) and a global min
 //!    (Observation 7, restricted to proper bags).
 //!
 //! This engine is exact: its output equals the contraction oracle's on
-//! every input (tested exhaustively and property-based).
+//! every input (tested exhaustively and property-based), and pair folding
+//! leaves the coverage at every time — hence `(weight, leader, time)` —
+//! unchanged (tested against the per-edge [`SingletonEngine::leader_intervals`]).
 
 use cut_graph::{kruskal, Graph};
 use cut_tree::lowdepth::low_depth_decomposition;
@@ -45,6 +51,8 @@ pub struct SingletonCut {
 pub struct SingletonEngine {
     /// Rooted spanning forest of the contraction-relevant edges.
     pub forest: RootedForest,
+    /// Priority of each vertex's parent edge in `forest` (0 at roots).
+    pub parent_prio: Vec<u64>,
     /// Heavy-light decomposition of the forest.
     pub hld: Hld,
     /// Low-depth decomposition labels (Definition 1).
@@ -146,10 +154,21 @@ impl SingletonEngine {
             }
         }
 
-        Self { forest: rooted, hld, label: labels.label, height: labels.height, sep, pathq, ldr }
+        Self {
+            forest: rooted,
+            parent_prio: edge_prio,
+            hld,
+            label: labels.label,
+            height: labels.height,
+            sep,
+            pathq,
+            ldr,
+        }
     }
 
-    /// All per-leader interval lists for the edges of `g` (Lemma 13).
+    /// All per-leader interval lists for the edges of `g` (Lemma 13), one
+    /// interval set per edge — the reference [`SingletonEngine::smallest`]
+    /// is tested against, and what `fig_1_2_3` prints.
     ///
     /// `out[v]` holds the weighted boundary intervals of leader `v`,
     /// already clipped to `[0, ldr_time(v)]`.
@@ -225,8 +244,14 @@ impl SingletonEngine {
     }
 
     /// The smallest singleton cut (Theorem 3's output).
+    ///
+    /// Intervals are built on `g.collapsed()`: parallel edges get identical
+    /// intervals, and [`min_stabbing_weight`] sums every event at one time
+    /// before it compares, so one interval per pair with the summed weight
+    /// gives the same coverage — and the same `(weight, time)` per leader —
+    /// as one interval per edge.
     pub fn smallest(&self, g: &Graph) -> SingletonCut {
-        let per_leader = self.leader_intervals(g);
+        let per_leader = self.leader_intervals(&g.collapsed());
         let mut best = SingletonCut { weight: u64::MAX, leader: 0, time: 0 };
         for v in 0..g.n() as u32 {
             let (w, t) = min_stabbing_weight(&per_leader[v as usize], self.ldr[v as usize]);
@@ -235,6 +260,27 @@ impl SingletonEngine {
             }
         }
         best
+    }
+
+    /// `bag(leader, time)`, sorted: the vertices joined to `leader` by
+    /// forest edges of priority `≤ time` — what [`bag_of`] returns, read
+    /// off this engine's rooted forest instead of a second Kruskal run.
+    pub fn bag(&self, leader: u32, time: u64) -> Vec<u32> {
+        let f = &self.forest;
+        // The bag is a subtree: climb to its top, then collect downwards.
+        let mut top = leader;
+        while !f.is_root(top) && self.parent_prio[top as usize] <= time {
+            top = f.parent[top as usize];
+        }
+        let mut out = vec![top];
+        let mut head = 0;
+        while head < out.len() {
+            let v = out[head];
+            head += 1;
+            out.extend(f.children(v).iter().filter(|&&c| self.parent_prio[c as usize] <= time));
+        }
+        out.sort_unstable();
+        out
     }
 }
 
@@ -294,6 +340,77 @@ mod tests {
             mask[v as usize] = true;
         }
         assert_eq!(cut_weight(g, &mask), cut.weight, "side does not realize weight");
+        assert_eq!(SingletonEngine::new(g, prio).bag(cut.leader, cut.time), side);
+    }
+
+    /// Reference Algorithm 3: one interval set per edge, and the side from
+    /// `bag_of`'s own Kruskal run.
+    fn per_edge_reference(g: &Graph, prio: &[u64]) -> (SingletonCut, Vec<u32>) {
+        let engine = SingletonEngine::new(g, prio);
+        let per_leader = engine.leader_intervals(g);
+        let mut best = SingletonCut { weight: u64::MAX, leader: 0, time: 0 };
+        for v in 0..g.n() as u32 {
+            let (w, t) = min_stabbing_weight(&per_leader[v as usize], engine.ldr[v as usize]);
+            if w < best.weight {
+                best = SingletonCut { weight: w, leader: v, time: t };
+            }
+        }
+        (best, bag_of(g, prio, best.leader, best.time))
+    }
+
+    /// A random multigraph: a random simple graph (connected or not) with
+    /// each edge repeated up to `max_mult` times.
+    fn random_multigraph(rng: &mut SmallRng, n: usize, max_mult: usize) -> Graph {
+        let max_m = n * (n - 1) / 2;
+        let base = if rng.gen_bool(0.7) {
+            gen::connected_gnm(n, rng.gen_range(n - 1..=max_m), 1..=9, rng)
+        } else {
+            gen::gnm(n, rng.gen_range(1..=max_m), 1..=9, rng)
+        };
+        gen::multiplied(&base, max_mult, 1..=9, rng)
+    }
+
+    #[test]
+    fn pair_folding_matches_per_edge_reference_on_multigraphs() {
+        let mut rng = SmallRng::seed_from_u64(28);
+        for trial in 0..400 {
+            let n = rng.gen_range(2..=30);
+            let max_mult = [1, 2, 5, 50][trial % 4];
+            let g = random_multigraph(&mut rng, n, max_mult);
+            let prio = exponential_priorities(&g, &mut rng);
+            let engine = SingletonEngine::new(&g, &prio);
+            let cut = engine.smallest(&g);
+            let (expect, expect_side) = per_edge_reference(&g, &prio);
+            assert_eq!(cut, expect, "trial={trial} n={n} m={}", g.m());
+            assert_eq!(engine.bag(cut.leader, cut.time), expect_side, "trial={trial}");
+        }
+    }
+
+    #[test]
+    fn bag_matches_bag_of_at_every_leader_and_time() {
+        let mut rng = SmallRng::seed_from_u64(30);
+        for _ in 0..20 {
+            let n = rng.gen_range(2..=16);
+            let g = random_multigraph(&mut rng, n, 8);
+            let prio = exponential_priorities(&g, &mut rng);
+            let engine = SingletonEngine::new(&g, &prio);
+            for v in 0..n as u32 {
+                for t in [0, 1, g.m() as u64 / 3, g.m() as u64 / 2, g.m() as u64] {
+                    assert_eq!(engine.bag(v, t), bag_of(&g, &prio, v, t), "v={v} t={t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matches_oracle_on_multigraphs() {
+        let mut rng = SmallRng::seed_from_u64(32);
+        for trial in 0..60 {
+            let n = rng.gen_range(2..20);
+            let g = random_multigraph(&mut rng, n, [3, 50][trial % 2]);
+            let prio = exponential_priorities(&g, &mut rng);
+            check_matches_oracle(&g, &prio);
+        }
     }
 
     #[test]

@@ -174,6 +174,26 @@ pub fn connected_gnm(
     Graph::new(n, edges)
 }
 
+/// `g` with each edge repeated a uniform `1..=max_mult` times, every copy
+/// weighted from `w_range`, in shuffled order: the parallel-edge-heavy
+/// multigraph a long insert stream leaves on a small vertex set.
+pub fn multiplied(
+    g: &Graph,
+    max_mult: usize,
+    w_range: std::ops::RangeInclusive<u64>,
+    rng: &mut impl Rng,
+) -> Graph {
+    assert!(max_mult >= 1, "need max_mult >= 1");
+    let mut edges = Vec::new();
+    for e in g.edges() {
+        for _ in 0..rng.gen_range(1..=max_mult) {
+            edges.push(Edge::new(e.u, e.v, rng.gen_range(w_range.clone())));
+        }
+    }
+    edges.shuffle(rng);
+    Graph::new(g.n(), edges)
+}
+
 /// Uniform random labeled tree via a Prüfer sequence.
 pub fn random_tree(n: usize, rng: &mut impl Rng) -> Graph {
     if n <= 1 {
@@ -354,6 +374,16 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(0xC0FFEE)
+    }
+
+    #[test]
+    fn multiplied_keeps_pairs_and_repeats_edges() {
+        let base = complete(6);
+        let g = multiplied(&base, 40, 1..=9, &mut rng());
+        assert!(g.m() >= base.m() && g.m() <= 40 * base.m());
+        let pairs =
+            |h: &Graph| h.collapsed().edges().iter().map(|e| (e.u, e.v)).collect::<Vec<_>>();
+        assert_eq!(pairs(&g), pairs(&base));
     }
 
     #[test]

@@ -189,6 +189,39 @@ impl Graph {
         Graph::new_unchecked(k, edges)
     }
 
+    /// The simple graph with the same pairwise weights: parallel edges
+    /// merged (weights summed), self-loops dropped, edges `(u, v)` with
+    /// `u < v` in sorted order — `contract` under the identity labeling,
+    /// but built in one pass over the CSR with an O(n) slot array instead
+    /// of a hash map.
+    pub fn collapsed(&self) -> Graph {
+        const NONE: u32 = u32::MAX;
+        // slot[v]: index in `edges` of the pair (u, v) for the current u.
+        let mut slot = vec![NONE; self.n];
+        let mut edges: Vec<Edge> = Vec::new();
+        for u in 0..self.n as u32 {
+            let start = edges.len();
+            for &(v, e) in self.neighbors(u) {
+                if v <= u {
+                    continue;
+                }
+                let w = self.edges[e as usize].w;
+                match slot[v as usize] {
+                    NONE => {
+                        slot[v as usize] = edges.len() as u32;
+                        edges.push(Edge::new(u, v, w));
+                    }
+                    i => edges[i as usize].w += w,
+                }
+            }
+            for e in &edges[start..] {
+                slot[e.v as usize] = NONE;
+            }
+            edges[start..].sort_unstable_by_key(|e| e.v);
+        }
+        Graph::new_unchecked(self.n, edges)
+    }
+
     /// Induced subgraph on `keep` (a set of vertex ids).
     ///
     /// Returns the subgraph and the mapping `new_id -> old_id`.
@@ -289,6 +322,30 @@ mod tests {
         let a = g.contract(&l);
         let b = g.contract(&l);
         assert_eq!(a.edges(), b.edges());
+    }
+
+    #[test]
+    fn collapsed_equals_identity_contraction_on_multigraphs() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(31);
+        for _ in 0..200 {
+            let n = rng.gen_range(0..14usize);
+            let m = if n < 2 { 0 } else { rng.gen_range(0..60) };
+            let edges = (0..m)
+                .map(|_| {
+                    let u = rng.gen_range(0..n as u32);
+                    let v = (u + rng.gen_range(1..n as u32)) % n as u32;
+                    Edge::new(u, v, rng.gen_range(1..=9))
+                })
+                .collect();
+            let g = Graph::new(n, edges);
+            let identity: Vec<u32> = (0..n as u32).collect();
+            let c = g.collapsed();
+            assert_eq!(c.n(), n);
+            assert_eq!(c.edges(), g.contract(&identity).edges());
+            assert_eq!(c.total_weight(), g.total_weight());
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Dinic max-flow / minimum s-t cut on undirected weighted graphs.
 //!
 //! Substrate for the Gomory–Hu tree (Definition 8 of the paper) and for
-//! s-t cut assertions in tests. Undirected edges become arc pairs that
-//! share capacity through the standard residual construction.
+//! s-t cut assertions in tests. Each vertex pair's edges become one arc
+//! pair that shares the pair's summed capacity through the standard
+//! residual construction.
 
 use std::collections::VecDeque;
 
@@ -26,13 +27,20 @@ pub struct Dinic {
 }
 
 impl Dinic {
-    /// Build a solver for undirected graph `g`: each edge `(u,v,w)` becomes
-    /// a forward and a backward arc of capacity `w` each (the undirected
-    /// flow construction).
+    /// Build a solver for undirected graph `g`: each vertex pair joined by
+    /// edges becomes one forward and one backward arc, each with the
+    /// pair's summed weight as capacity (the undirected flow construction
+    /// over [`Graph::collapsed`]).
+    ///
+    /// Folding parallel edges changes no answer. A pair's arcs carry what
+    /// its edges could carry together, so the max-flow value is the same,
+    /// and [`Dinic::min_cut_side`] is the same because the
+    /// residual-reachable side is the same for every maximum flow (the
+    /// inclusion-minimal minimum cut).
     pub fn new(g: &Graph) -> Self {
         let n = g.n();
         let mut arcs: Vec<Vec<Arc>> = vec![Vec::new(); n];
-        for e in g.edges() {
+        for e in g.collapsed().edges() {
             let (u, v) = (e.u as usize, e.v as usize);
             let ru = arcs[u].len() as u32;
             let rv = arcs[v].len() as u32;
@@ -198,6 +206,54 @@ mod tests {
             let side = d.min_cut_side(s);
             assert!(side[s as usize] && !side[t as usize]);
             assert_eq!(cut_weight(&g, &side), f, "max-flow/min-cut mismatch");
+        }
+    }
+
+    /// Reference construction: one arc pair per edge, parallel edges kept.
+    fn per_edge_dinic(g: &Graph) -> Dinic {
+        let n = g.n();
+        let mut arcs: Vec<Vec<Arc>> = vec![Vec::new(); n];
+        for e in g.edges() {
+            let (u, v) = (e.u as usize, e.v as usize);
+            let (ru, rv) = (arcs[u].len() as u32, arcs[v].len() as u32);
+            arcs[u].push(Arc { to: e.v, rev: rv, cap: e.w });
+            arcs[v].push(Arc { to: e.u, rev: ru, cap: e.w });
+        }
+        let base = arcs.iter().map(|a| a.iter().map(|x| x.cap).collect()).collect();
+        Dinic { n, arcs, base, level: vec![-1; n], iter: vec![0; n] }
+    }
+
+    #[test]
+    fn multigraph_flow_and_side_equal_collapsed() {
+        // Parallel edges fold into one arc pair: flow value and the
+        // residual-reachable side must match both the collapsed graph's
+        // and the per-edge construction's, and the side must realize the
+        // flow on the multigraph itself.
+        let mut rng = SmallRng::seed_from_u64(29);
+        for trial in 0..150 {
+            let n = rng.gen_range(2..14usize);
+            let mult = rng.gen_range(1..=50usize);
+            let m = rng.gen_range(0..=mult * n);
+            let edges: Vec<Edge> = (0..m)
+                .map(|_| {
+                    let u = rng.gen_range(0..n as u32);
+                    let v = (u + rng.gen_range(1..n as u32)) % n as u32;
+                    Edge::new(u, v, rng.gen_range(1..=7))
+                })
+                .collect();
+            let g = Graph::new(n, edges);
+            let c = g.collapsed();
+            let s = rng.gen_range(0..n as u32);
+            let t = (s + rng.gen_range(1..n as u32)) % n as u32;
+            assert_eq!(min_st_cut(&g, s, t), min_st_cut(&c, s, t), "trial={trial}");
+            let (mut dg, mut dc, mut de) = (Dinic::new(&g), Dinic::new(&c), per_edge_dinic(&g));
+            let f = dg.max_flow(s, t);
+            assert_eq!(f, dc.max_flow(s, t), "trial={trial}");
+            assert_eq!(f, de.max_flow(s, t), "trial={trial}");
+            let side = dg.min_cut_side(s);
+            assert_eq!(side, dc.min_cut_side(s), "trial={trial}");
+            assert_eq!(side, de.min_cut_side(s), "trial={trial}");
+            assert_eq!(cut_weight(&g, &side), f, "trial={trial}");
         }
     }
 

@@ -26,10 +26,38 @@ impl MstForest {
 
 /// Kruskal MSF of `g` under `prio` (one priority per edge; ties broken by
 /// edge index, so the forest is unique even with duplicate priorities).
+///
+/// Only the least `(priority, index)` edge of each vertex pair can join
+/// the forest — every later parallel edge closes a cycle with it — so one
+/// pass over the CSR keeps those and only they are sorted. On a
+/// multigraph that is a sort over distinct pairs, not over edges.
 pub fn kruskal(g: &Graph, prio: &[u64]) -> MstForest {
+    const NONE: u32 = u32::MAX;
     assert_eq!(prio.len(), g.m(), "one priority per edge");
-    let mut order: Vec<u32> = (0..g.m() as u32).collect();
-    order.sort_unstable_by_key(|&e| (prio[e as usize], e));
+    let key = |e: u32| (prio[e as usize], e);
+    // slot[v]: index in `order` of the best edge (u, v) for the current u.
+    let mut slot = vec![NONE; g.n()];
+    let mut order: Vec<u32> = Vec::new();
+    for u in 0..g.n() as u32 {
+        let start = order.len();
+        for &(v, e) in g.neighbors(u) {
+            if v <= u {
+                continue;
+            }
+            match slot[v as usize] {
+                NONE => {
+                    slot[v as usize] = order.len() as u32;
+                    order.push(e);
+                }
+                i if key(e) < key(order[i as usize]) => order[i as usize] = e,
+                _ => {}
+            }
+        }
+        for &e in &order[start..] {
+            slot[g.edge(e as usize).other(u) as usize] = NONE;
+        }
+    }
+    order.sort_unstable_by_key(|&e| key(e));
     let mut dsu = Dsu::new(g.n());
     let mut edges = Vec::with_capacity(g.n().saturating_sub(1));
     for e in order {
@@ -130,6 +158,46 @@ mod tests {
             }
         }
         total
+    }
+
+    /// Reference Kruskal: sort every edge by `(priority, index)`.
+    fn kruskal_sort_all(g: &Graph, prio: &[u64]) -> MstForest {
+        let mut order: Vec<u32> = (0..g.m() as u32).collect();
+        order.sort_unstable_by_key(|&e| (prio[e as usize], e));
+        let mut dsu = Dsu::new(g.n());
+        let mut edges = Vec::new();
+        for e in order {
+            let ed = g.edge(e as usize);
+            if dsu.union(ed.u, ed.v) {
+                edges.push(e);
+            }
+        }
+        MstForest { trees: g.n() - edges.len(), edges }
+    }
+
+    #[test]
+    fn multigraph_forest_equals_sort_everything_reference() {
+        // Heavy multiplicity and priorities drawn from a tiny range, so
+        // parallel edges tie on priority and only the index breaks ties.
+        let mut rng = SmallRng::seed_from_u64(12);
+        for trial in 0..300 {
+            let n = rng.gen_range(1..16usize);
+            let m = if n < 2 { 0 } else { rng.gen_range(0..20 * n) };
+            let edges: Vec<Edge> = (0..m)
+                .map(|_| {
+                    let u = rng.gen_range(0..n as u32);
+                    let v = (u + rng.gen_range(1..n as u32)) % n as u32;
+                    Edge::new(u, v, rng.gen_range(1..=5))
+                })
+                .collect();
+            let g = Graph::new(n, edges);
+            let span = if trial % 2 == 0 { 4 } else { 10 * m as u64 + 1 };
+            let prio: Vec<u64> = (0..m).map(|_| rng.gen_range(1..=span)).collect();
+            let fast = kruskal(&g, &prio);
+            let slow = kruskal_sort_all(&g, &prio);
+            assert_eq!(fast.edges, slow.edges, "trial={trial}");
+            assert_eq!(fast.trees, slow.trees, "trial={trial}");
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use cut_engine::{GraphStore, RecoveredGraph, Request, Response};
-use cut_graph::hash::fnv1a;
+use cut_graph::hash::Fnv1a;
 
 /// Bytes in a WAL record header: `<seq:016x> <len:08x> <sum:016x> `.
 const WAL_HEADER: usize = 16 + 1 + 8 + 1 + 16 + 1;
@@ -94,9 +94,14 @@ const SNAP_HEADER: usize = 5 + 16 + 1 + 8 + 1 + 16 + 1;
 /// The checksum a record or snapshot frame carries: FNV-1a over the
 /// canonical header fields and the payload, so a change to *any* byte of
 /// the frame (sequence, length, checksum itself, or payload) invalidates
-/// it.
+/// it. The hash is fed the header and then the payload as one stream — the
+/// bytes of `"{seq:016x} {len:08x} {payload}"` without copying the payload
+/// into a formatted string first.
 fn frame_sum(seq: u64, payload: &str) -> u64 {
-    fnv1a(format!("{seq:016x} {len:08x} {payload}", len = payload.len()).as_bytes())
+    let mut h = Fnv1a::new();
+    h.write(format!("{seq:016x} {len:08x} ", len = payload.len()).as_bytes());
+    h.write(payload.as_bytes());
+    h.finish()
 }
 
 /// Encode one WAL record: `<seq:016x> <len:08x> <sum:016x> <payload>\n`.
@@ -709,6 +714,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cut_store_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn frame_sum_hashes_the_formatted_frame() {
+        // The on-disk checksum: FNV-1a over "{seq:016x} {len:08x} {payload}".
+        for (seq, payload) in [(0, ""), (42, "insert g 0 1 7\tok"), (u64::MAX, "é\tx")] {
+            let whole = format!("{seq:016x} {len:08x} {payload}", len = payload.len());
+            assert_eq!(frame_sum(seq, payload), cut_graph::hash::fnv1a(whole.as_bytes()));
+        }
     }
 
     #[test]
