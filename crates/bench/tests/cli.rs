@@ -36,10 +36,10 @@ fn remote_sends_server_flags_to_cut_server() {
 }
 
 #[test]
-fn removed_placement_flag_is_unknown() {
+fn removed_flags_are_unknown() {
     // Flags the binary no longer has fail through the generic
     // unknown-flag path.
-    for flag in ["--rebalance", "--no-dynconn", "--kernel-threshold"] {
+    for flag in ["--rebalance", "--no-dynconn", "--kernel-threshold", "--arrival", "--json-out"] {
         assert_usage_error(&[flag], "unknown flag");
     }
 }

@@ -1,10 +1,16 @@
 //! Replays of the pinned traces under `traces/`, each generated by
-//! `stress --phases <preset> --ops 2000 --seed 7`:
+//! `stress --phases <preset> --seed 7 --trace-out <file>`:
 //!
-//! - `whale.trace`: an adversarial s-t-heavy phase mix over one large
-//!   sparse graph;
-//! - `write_storm.trace`: mutation-heavy phases that keep splitting and
-//!   re-merging components under stale cut-cache entries.
+//! - `whale.trace` (`--phases whale --ops 2000`): an adversarial
+//!   s-t-heavy phase mix over one large sparse graph;
+//! - `write_storm.trace` (`--phases write-storm --ops 10000`):
+//!   mutation-heavy phases that keep splitting and re-merging components
+//!   under stale cut-cache entries. (At `--ops 2000` the same preset
+//!   digests to `0x16bfd9b856cd576f`; the committed trace is the 10k
+//!   run.)
+//!
+//! `pinned_digests.rs` checks that those commands still regenerate both
+//! files byte for byte.
 //!
 //! Every trace in the table pins two things:
 //!
@@ -22,7 +28,7 @@
 //! equal the recomputes of an engine without the certificate gate.
 //!
 //! If an intentional engine change moves a digest, regenerate with the
-//! command above and update the table in the same commit.
+//! commands above and update the table in the same commit.
 
 use cut_engine::{Engine, EngineConfig, Response, Workload};
 

@@ -20,9 +20,8 @@
 //!
 //! A background reader thread owns the receive half of the socket: it
 //! parses each response line and hands it to the oldest outstanding
-//! ticket. Waiting on a [`RemoteTicket`] therefore *blocks* (on a channel,
-//! not a spin loop), and [`RemoteTicket::wait_timeout`] gives paced
-//! drivers a bounded park instead of a hot poll.
+//! ticket. Waiting on a [`RemoteTicket`] therefore *blocks* on a channel,
+//! not a spin loop.
 //!
 //! Connection establishment can retry with exponential backoff
 //! ([`Connection::connect_with_retry`], [`ReconnectPolicy`]); established
@@ -46,7 +45,7 @@ use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -149,9 +148,9 @@ impl ReconnectPolicy {
 #[must_use = "a ticket holds a pending response; wait() on it to collect"]
 pub struct RemoteTicket {
     rx: Receiver<Result<Response, ClientError>>,
-    /// Set once a wait variant has collected the response; a ticket
-    /// dropped with this still `false` was abandoned and counts toward
-    /// [`Connection::abandoned_tickets`].
+    /// Set once [`RemoteTicket::wait`] has collected the response; a
+    /// ticket dropped with this still `false` was abandoned and counts
+    /// toward [`Connection::abandoned_tickets`].
     resolved: bool,
     abandoned: Option<Arc<AtomicU64>>,
 }
@@ -161,40 +160,6 @@ impl RemoteTicket {
     pub fn wait(mut self) -> Result<Response, ClientError> {
         self.resolved = true;
         self.rx.recv().unwrap_or(Err(ClientError::ConnectionClosed))
-    }
-
-    /// Bounded-blocking poll: parks the calling thread for at most
-    /// `timeout`, returning `Some` as soon as the response lands. The
-    /// remote stress collector uses this instead of a hot
-    /// `try_wait` loop — when socket round-trips dominate, a short park
-    /// costs nothing and burns no core.
-    ///
-    /// Once this returns `Some`, the ticket is spent — drop it.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Response, ClientError>> {
-        let result = match self.rx.recv_timeout(timeout) {
-            Ok(result) => Some(result),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => Some(Err(ClientError::ConnectionClosed)),
-        };
-        if result.is_some() {
-            self.resolved = true;
-        }
-        result
-    }
-
-    /// Non-blocking poll, mirroring the in-process `Ticket::try_wait`.
-    ///
-    /// Once this returns `Some`, the ticket is spent — drop it.
-    pub fn try_wait(&mut self) -> Option<Result<Response, ClientError>> {
-        let result = match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ClientError::ConnectionClosed)),
-        };
-        if result.is_some() {
-            self.resolved = true;
-        }
-        result
     }
 }
 
@@ -437,33 +402,18 @@ mod tests {
         drop(t);
         assert_eq!(counter.load(Ordering::Relaxed), 1);
 
-        // Resolved through try_wait, then dropped: not abandoned.
-        let (tx, mut t) = ticket(&counter);
+        // Resolved through wait(): not abandoned.
+        let (tx, t) = ticket(&counter);
         tx.send(Ok(Response::Graphs { names: Vec::new() })).expect("slot open");
-        assert!(t.try_wait().is_some());
-        drop(t);
+        assert!(t.wait().is_ok());
         assert_eq!(counter.load(Ordering::Relaxed), 1);
-
-        // Resolved through wait_timeout: not abandoned.
-        let (tx, mut t) = ticket(&counter);
-        tx.send(Ok(Response::Graphs { names: Vec::new() })).expect("slot open");
-        assert!(t.wait_timeout(Duration::from_millis(50)).is_some());
-        drop(t);
-        assert_eq!(counter.load(Ordering::Relaxed), 1);
-
-        // wait_timeout that *times out* leaves the ticket live; dropping
-        // it afterwards is still an abandonment.
-        let (_tx, mut t) = ticket(&counter);
-        assert!(t.wait_timeout(Duration::from_millis(1)).is_none());
-        drop(t);
-        assert_eq!(counter.load(Ordering::Relaxed), 2);
 
         // wait() consumes and resolves: not abandoned even though the
         // channel reports closure.
         let (tx, t) = ticket(&counter);
         drop(tx);
         assert!(t.wait().is_err());
-        assert_eq!(counter.load(Ordering::Relaxed), 2);
+        assert_eq!(counter.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -113,11 +113,6 @@ pub struct EngineStats {
     /// CSR snapshot reuses — builds avoided — per query kind (indexed by
     /// [`Query::kind_index`]).
     pub reuse_by_kind: [u64; QUERY_KINDS.len()],
-    /// Nanoseconds spent actually serving requests. Filled by the sharded
-    /// front-end's workers (the plain engine does not time itself).
-    /// Per-shard values give the busy-time occupancy the stress report
-    /// prints.
-    pub serve_nanos: u64,
     /// Gated cut queries (exact/approx min cut, st-cut weight) that
     /// actually ran their algorithm — the expensive outcome the
     /// certificate gate exists to avoid.
@@ -161,7 +156,6 @@ impl EngineStats {
             index,
             builds_by_kind,
             reuse_by_kind,
-            serve_nanos,
             cut_recomputes,
             cut_certified_skips,
             kernel_cut_serves,
@@ -180,7 +174,6 @@ impl EngineStats {
         for (mine, theirs) in self.reuse_by_kind.iter_mut().zip(reuse_by_kind) {
             *mine += theirs;
         }
-        self.serve_nanos += serve_nanos;
         self.cut_recomputes += cut_recomputes;
         self.cut_certified_skips += cut_certified_skips;
         self.kernel_cut_serves += kernel_cut_serves;
@@ -204,7 +197,6 @@ impl EngineStats {
             index,
             builds_by_kind,
             reuse_by_kind,
-            serve_nanos,
             cut_recomputes,
             cut_certified_skips,
             kernel_cut_serves,
@@ -225,7 +217,6 @@ impl EngineStats {
             reg.inc(&format!("engine_csr_builds_{kind}"), *builds);
             reg.inc(&format!("engine_csr_reuses_{kind}"), *reuses);
         }
-        reg.inc("engine_serve_nanos_total", serve_nanos);
         reg.inc("engine_cut_recomputes", cut_recomputes);
         reg.inc("engine_cut_certified_skips", cut_certified_skips);
         reg.inc("engine_kernel_builds", index.kernel_builds);
@@ -813,12 +804,6 @@ impl Engine {
         let GraphExport { name, entry } = export;
         self.graphs.insert(name, entry);
         Ok(())
-    }
-
-    /// Mutable counter access for the shard worker, which accounts its
-    /// busy time in [`EngineStats::serve_nanos`].
-    pub(crate) fn stats_mut(&mut self) -> &mut EngineStats {
-        &mut self.stats
     }
 }
 

@@ -43,11 +43,10 @@
 //! drift (hot-set rotation, flash crowds), emitting deterministic
 //! arrival timestamps, and serializing losslessly to a replayable trace
 //! ([`Workload::to_trace`]/[`Workload::from_trace`]). The `cut_bench`
-//! crate's `stress` binary replays them through either front
-//! (`--shards N`), closed-loop or open-loop (`--arrival`/`--phases`),
-//! and reports throughput, latency (per-action service times, or
-//! per-phase latency-under-load), per-shard occupancy, and cache hit
-//! rate. `docs/WORKLOADS.md` is the model reference.
+//! crate's `stress` binary replays them closed loop through either front
+//! (`--shards N`) or a remote server, and prints the log digest plus the
+//! counters of the end-of-run `stats metrics` snapshot; `perfbench/`
+//! measures latency. `docs/WORKLOADS.md` is the model reference.
 //!
 //! ```
 //! use cut_engine::{Engine, GraphSpec, Mutation, Query, Request, Response};

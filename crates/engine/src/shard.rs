@@ -177,9 +177,8 @@ impl Ticket {
     }
 
     /// Non-blocking poll: `Some(response)` once every owing shard has
-    /// answered, `None` while any is still working. The open-loop stress
-    /// harness uses this to stamp per-request completion times without
-    /// head-of-line blocking on slower earlier tickets.
+    /// answered, `None` while any is still working — for callers that
+    /// must not block on one slow ticket while others are ready.
     ///
     /// Once this returns `Some`, the ticket is spent — further calls
     /// return `None`, and dropping it no longer counts as abandonment.
@@ -217,10 +216,9 @@ impl Ticket {
     }
 
     /// Bounded-blocking poll: park up to `timeout` for the next missing
-    /// answer, then report like [`Ticket::try_wait`]. Collectors that would
-    /// otherwise hot-poll `try_wait` in a spin loop should park here
-    /// instead — the wait ends the moment the answer lands, so completion
-    /// timestamps stay accurate without burning a core.
+    /// answer, then report like [`Ticket::try_wait`]. The wait ends the
+    /// moment the answer lands, so a caller that must not hang on a lost
+    /// answer can park here instead of in [`Ticket::wait`].
     ///
     /// `None` means the timeout elapsed (any partials that arrived are
     /// buffered); `Some` spends the ticket exactly as `try_wait` does.
@@ -363,9 +361,8 @@ fn unexpected_partial(got: Response) -> Response {
 }
 
 /// The shard that owns `name`: stable FNV-1a over the name, modulo the
-/// shard count. Platform- and run-independent, so routing, durable
-/// adoption and the per-shard occupancy a harness reports are all
-/// reproducible.
+/// shard count. Platform- and run-independent, so routing and durable
+/// adoption are reproducible.
 fn default_shard(name: &str, shards: usize) -> usize {
     (cut_graph::hash::fnv1a(name.as_bytes()) % shards as u64) as usize
 }
@@ -381,8 +378,6 @@ pub struct ShardedEngine {
     /// signal: each worker drains its channel, then exits.
     senders: Vec<Sender<Job>>,
     workers: Vec<JoinHandle<EngineStats>>,
-    /// Jobs enqueued per shard (broadcasts count on every shard).
-    routed: Vec<u64>,
     /// The telemetry clock, shared with every worker: the router stamps
     /// each job's enqueue mark at submission.
     clock: Arc<dyn Clock>,
@@ -452,13 +447,7 @@ impl ShardedEngine {
             senders.push(tx);
             workers.push(handle);
         }
-        Self {
-            senders,
-            workers,
-            routed: vec![0; shards],
-            clock: opts.clock,
-            abandoned: Arc::new(AtomicU64::new(0)),
-        }
+        Self { senders, workers, clock: opts.clock, abandoned: Arc::new(AtomicU64::new(0)) }
     }
 
     /// Number of shards.
@@ -470,12 +459,6 @@ impl ShardedEngine {
     /// name, which never changes.
     pub fn shard_of(&self, name: &str) -> usize {
         default_shard(name, self.shards())
-    }
-
-    /// Jobs enqueued per shard so far (broadcast requests count once on
-    /// every shard). The stress harness reads this for occupancy stats.
-    pub fn routed(&self) -> &[u64] {
-        &self.routed
     }
 
     /// Enqueue one request and return a [`Ticket`] for its response.
@@ -561,9 +544,8 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Count and enqueue one job on `shard`.
-    fn push(&mut self, shard: usize, job: Job) {
-        self.routed[shard] += 1;
+    /// Enqueue one job on `shard`.
+    fn push(&self, shard: usize, job: Job) {
         // A failed send means the shard's worker died and dropped its
         // receiver. The job drops here, and with it its reply sender, so
         // its ticket resolves to an error.
@@ -640,11 +622,9 @@ impl Worker {
         };
         let Job { request, reply, enqueue } = job;
         let kind = request.kind();
-        let start = std::time::Instant::now();
         let dequeue = self.clock.now();
         let response = self.engine.execute(request);
         let end = self.clock.now();
-        self.engine.stats_mut().serve_nanos += start.elapsed().as_nanos() as u64;
         if let Some(name) = target {
             let delta = self.engine.obs_mut().take_delta();
             let mut flags = 0;
@@ -754,7 +734,8 @@ mod tests {
         let r = e.execute(Request::Drop { name: "ring".into() });
         assert!(matches!(r, Response::Dropped { .. }), "got {r}");
         // Everything above targeted one graph, so exactly one shard worked.
-        let busy: Vec<usize> = (0..3).filter(|&s| e.routed()[s] > 0).collect();
+        let per_shard = e.shutdown();
+        let busy: Vec<usize> = (0..3).filter(|&s| per_shard[s] != EngineStats::default()).collect();
         assert_eq!(busy, vec![shard]);
     }
 
@@ -992,7 +973,6 @@ mod tests {
         assert_eq!(total.queries, plain.stats().queries);
         assert_eq!(total.cache_hits, plain.stats().cache_hits);
         assert_eq!(total.mutations, plain.stats().mutations);
-        assert!(total.serve_nanos > 0, "workers must account busy time");
     }
 
     #[test]

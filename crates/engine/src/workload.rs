@@ -14,8 +14,11 @@
 //! exponent, and popularity drift ([`PopularityDrift`]: hot-set rotation or
 //! a flash crowd that yanks the Zipf head onto another graph mid-run).
 //! [`Workload::generate_timeline`] emits the concatenated phases as one
-//! stream of requests with deterministic arrival timestamps — the open-loop
-//! input the stress harness measures latency-under-load against.
+//! stream of requests with deterministic arrival timestamps. Stochastic
+//! gaps draw from the same per-phase RNG as the requests, so which arrival
+//! process a phase uses shapes its requests too, even for a replayer (like
+//! the stress harness) that submits closed loop and ignores the
+//! timestamps.
 //!
 //! Determinism is load-bearing everywhere:
 //!
@@ -437,7 +440,7 @@ impl Phase {
 /// let wl = Workload::generate_timeline(&cfg, &timeline);
 /// assert_eq!(wl.operations.len(), 2_000);
 /// assert_eq!(wl.arrivals.len(), 2_000, "open-loop timelines timestamp every op");
-/// // Phase boundaries are recorded for per-phase latency reporting.
+/// // Phase boundaries are recorded alongside the stream.
 /// assert_eq!(wl.phases.iter().map(|(_, ops)| ops).sum::<usize>(), 2_000);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -942,19 +945,6 @@ impl Workload {
         !self.arrivals.is_empty()
     }
 
-    /// The phase index of operation `i` (an index into
-    /// [`Workload::phases`]); `None` past the end of the stream.
-    pub fn phase_of(&self, i: usize) -> Option<usize> {
-        let mut before = 0usize;
-        for (idx, (_, ops)) in self.phases.iter().enumerate() {
-            before += ops;
-            if i < before {
-                return Some(idx);
-            }
-        }
-        None
-    }
-
     /// Serialize the whole workload — prologue, phase table, and
     /// timestamped operations — to the compact line-oriented trace format.
     /// [`Workload::from_trace`] inverts it exactly, so a saved run replays
@@ -1183,9 +1173,6 @@ mod tests {
         assert!(!wl.is_open_loop());
         assert!(wl.arrivals.is_empty());
         assert_eq!(wl.phases, vec![("main".to_string(), 100)]);
-        assert_eq!(wl.phase_of(0), Some(0));
-        assert_eq!(wl.phase_of(99), Some(0));
-        assert_eq!(wl.phase_of(100), None);
     }
 
     #[test]

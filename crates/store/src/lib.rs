@@ -259,8 +259,8 @@ impl Default for StoreOptions {
     }
 }
 
-/// What [`Store::open`]'s directory scan found and repaired. The stress
-/// harness reports these as its `recovery` section.
+/// What [`Store::open`]'s directory scan found and repaired, exported as
+/// the `store_recovered_*` and `store_recovery_*` metric families.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Graphs with durable state after the scan.
@@ -277,8 +277,8 @@ pub struct RecoveryReport {
     pub orphan_tmps: u64,
 }
 
-/// A point-in-time copy of the store's operation counters. The stress
-/// harness reports these as its `durability` section.
+/// A point-in-time copy of the store's operation counters, exported as
+/// the remaining `store_*` metric families.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// WAL records appended (tombstones included).
