@@ -16,10 +16,11 @@
 //! `perfbench/`, against a live `cut-server`.
 //!
 //! `--shards 1` (the default) replays through the single-threaded
-//! `Engine::execute` path; `--shards N` pipelines the same stream through
-//! an N-worker `ShardedEngine` (submission-order responses, so the digest
-//! is identical for any shard count). The digest is invariant under every
-//! flag that does not change the workload itself.
+//! `Engine::execute` path; `--shards N` replays the same stream through an
+//! N-shard `ShardedEngine`, one request at a time on the calling thread
+//! (same responses, so the digest is identical for any shard count). The
+//! digest is invariant under every flag that does not change the workload
+//! itself.
 //!
 //! A workload can be saved and replayed byte-identically: `--trace-out
 //! PATH` writes the timestamped request stream, `--trace-in PATH` replays
@@ -94,9 +95,9 @@ use cut_store::{Store, StoreOptions};
 /// RNG draw at any rate, so the requests stay the same).
 const PRESET_RATE: f64 = 20_000.0;
 
-/// In-flight cap of every replay: deep enough to keep every shard (or the
-/// server's shards, across the network) busy, small enough that pending
-/// tickets never hold more than a sliver of the log.
+/// In-flight cap of every replay: deep enough to keep the server's shards
+/// busy across the network, small enough that pending tickets never hold
+/// more than a sliver of the log.
 const WINDOW: usize = 1024;
 
 struct Args {
@@ -233,8 +234,8 @@ fn parse_args() -> Result<Args, String> {
     if args.initial_n < 8 {
         return Err("--initial-n must be at least 8".into());
     }
-    // One worker thread per shard; cap well past any plausible core count
-    // so a typo can't exhaust thread resources (which aborts, not errors).
+    // Each shard is a full engine; cap well past any plausible count so a
+    // typo fails here instead of building thousands of engines.
     if args.shards == 0 || args.shards > 1024 {
         return Err(format!("--shards must be in 1..=1024 (got {})", args.shards));
     }
@@ -624,21 +625,22 @@ fn run_single(workload: &Workload, cfg: EngineConfig, store: Option<Arc<Store>>)
     let (log, errors, wall) =
         replay(workload, |_, request| engine.execute(request.clone()), |_, response| response);
     // Snapshot outside the logged stream: the single-threaded path has no
-    // worker spans, but engine and store counters still export.
+    // shard spans, but engine and store counters still export.
     let metrics = decode_metrics(engine.execute(Request::Metrics));
     RunReport { log, errors, wall, metrics }
 }
 
-/// Replay through an N-shard `ShardedEngine`: the window keeps every
-/// shard busy while memory stays flat.
+/// Replay through an N-shard `ShardedEngine`. Like the single engine, it
+/// answers on the calling thread, so the window only holds finished
+/// responses.
 fn run_sharded(workload: &Workload, shards: usize, opts: ShardOptions) -> RunReport {
-    let mut engine = ShardedEngine::with_options(shards, opts);
+    let engine = ShardedEngine::with_options(shards, opts);
     let (log, errors, wall) =
-        replay(workload, |_, request| engine.submit(request.clone()), |_, ticket| ticket.wait());
-    // A metrics barrier after the last logged op: the merged snapshot
+        replay(workload, |_, request| engine.execute(request.clone()), |_, response| response);
+    // A metrics broadcast after the last logged op: the merged snapshot
     // covers every named request of the run, and the request itself rides
     // outside the digest-logged stream.
-    let metrics = decode_metrics(engine.submit(Request::Metrics).wait());
+    let metrics = decode_metrics(engine.execute(Request::Metrics));
     RunReport { log, errors, wall, metrics }
 }
 
@@ -683,10 +685,9 @@ fn open_connections(addr: &str, connections: usize) -> Vec<Connection> {
         .collect()
 }
 
-/// Replay against a remote `cut-server`: the same window as
-/// [`run_sharded`], but tickets resolve over the wire. Each connection's
-/// stream is in order, so waiting across connections in global
-/// submission order is safe.
+/// Replay against a remote `cut-server`: the window holds tickets that
+/// resolve over the wire. Each connection's stream is in order, so
+/// waiting across connections in global submission order is safe.
 fn run_remote(workload: &Workload, addr: &str, connections: usize) -> RunReport {
     let mut conns = open_connections(addr, connections);
     let (log, errors, wall) = replay(

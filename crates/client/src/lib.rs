@@ -8,10 +8,10 @@
 //! - [`Connection::execute`]`(&Request) -> Result<Response, ClientError>`
 //!   is the blocking drop-in for `Engine::execute`;
 //! - [`Connection::submit`]` -> `[`RemoteTicket`] pipelines many requests
-//!   on one socket the way `ShardedEngine::submit -> Ticket` pipelines
-//!   across shards. Responses arrive **in submission order** per
-//!   connection (the server guarantees it), so a ticket resolves exactly
-//!   when every earlier ticket on the same connection has resolved.
+//!   on one socket, so the client never waits a round trip between them.
+//!   Responses arrive **in submission order** per connection (the server
+//!   guarantees it), so a ticket resolves exactly when every earlier
+//!   ticket on the same connection has resolved.
 //!
 //! Requests serialize with [`Request::to_trace_line`] and responses parse
 //! with [`Response::from_trace_line`] — the same lossless trace codec the
@@ -191,9 +191,7 @@ pub struct Connection {
     pending: Option<Sender<Slot>>,
     /// Tickets from this connection dropped before any wait collected
     /// their response. The reader thread still reads and discards those
-    /// responses (framing survives), but the answers were thrown away —
-    /// the same leak the in-process `ShardedEngine::abandoned_tickets`
-    /// tracks.
+    /// responses (framing survives), but the answers were thrown away.
     abandoned: Arc<AtomicU64>,
 }
 
@@ -261,8 +259,7 @@ impl Connection {
 
     /// How many tickets from this connection were dropped without
     /// collecting their response — each one a request whose answer was
-    /// paid for on the wire and then thrown away. Mirrors the in-process
-    /// `ShardedEngine::abandoned_tickets` accounting.
+    /// paid for on the wire and then thrown away.
     pub fn abandoned_tickets(&self) -> u64 {
         self.abandoned.load(Ordering::Relaxed)
     }

@@ -417,7 +417,7 @@ impl Engine {
         self.obs.clock = Some(clock);
     }
 
-    /// The telemetry scratch, for the sharded front-end's workers to
+    /// The telemetry scratch, for the sharded front-end's shards to
     /// drain per-request attribution from.
     pub(crate) fn obs_mut(&mut self) -> &mut ObsScratch {
         &mut self.obs
@@ -559,15 +559,16 @@ impl Engine {
                 // The plain engine's metrics view: its own counters plus
                 // the store families (no sharded front-end means no other
                 // exporter can double count them). Queue/serve histograms
-                // live in the sharded workers and merge in above this
-                // level.
+                // live in the sharded front-end's shards and merge in
+                // above this level.
                 let mut reg = self.metrics_registry();
                 reg.merge(&self.store_metrics());
                 return Response::Metrics { snapshot: reg.to_wire() };
             }
             Request::Slowlog => {
-                // Spans are recorded by the sharded front-end's workers;
-                // a bare engine has no queue and records none.
+                // Spans are recorded by the sharded front-end's shards;
+                // a bare engine has no shard lock to wait for and records
+                // none.
                 return Response::Slowlog { snapshot: cut_obs::SlowLog::new(0).to_wire() };
             }
             Request::Create { name, .. }

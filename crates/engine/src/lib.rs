@@ -14,11 +14,13 @@
 //! - [`Engine`] — the single-threaded reference path: one registry, one
 //!   thread, deterministic end to end.
 //! - [`ShardedEngine`] (the [`shard`] module) — the scaling path: the
-//!   registry is partitioned across N worker threads by a stable hash of
-//!   the graph name, per-graph request order is preserved, requests to
-//!   graphs on different shards run concurrently, and the response
-//!   stream is byte-identical to the single-threaded engine's for any
-//!   shard count. See `docs/SHARDING.md` for the determinism argument.
+//!   registry is partitioned across N shards by a stable hash of the
+//!   graph name, each shard a lock around its own [`Engine`]. Requests
+//!   run on the calling thread, per-graph request order is lock order,
+//!   callers whose graphs live on different shards run concurrently, and
+//!   the response stream is byte-identical to the single-threaded
+//!   engine's for any shard count. See `docs/SHARDING.md` for the
+//!   determinism argument.
 //!
 //! A third front lives out-of-crate: the `cut_server` crate's
 //! `cut-server` binary serves a [`ShardedEngine`] over TCP, speaking
@@ -107,7 +109,7 @@ pub use cut_obs::{
 };
 pub use engine::{Engine, EngineConfig, EngineStats, GraphExport};
 pub use request::{GraphSpec, Mutation, Query, Request, Response, QUERY_KINDS};
-pub use shard::{ShardOptions, ShardedEngine, Ticket};
+pub use shard::{ShardOptions, ShardedEngine};
 pub use store_api::{GraphStore, RecoveredGraph};
 pub use workload::{
     ActionMix, ArrivalProcess, Phase, PopularityDrift, Timeline, Workload, WorkloadConfig,

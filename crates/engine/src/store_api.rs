@@ -30,8 +30,8 @@ use crate::request::{Request, Response};
 /// compaction, cold-graph spill, and crash recovery.
 ///
 /// Implementations must be thread-safe: the sharded front-end shares one
-/// store across all worker threads (each graph is only ever touched by
-/// its owning worker at a time, but different graphs log concurrently).
+/// store across all its shards (each graph is only ever touched under its
+/// owning shard's lock, but different shards log concurrently).
 pub trait GraphStore: Send + Sync {
     /// Append one applied `(request, response)` pair to `name`'s WAL.
     /// Called after execution, before the response is released to the

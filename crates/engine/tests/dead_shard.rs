@@ -1,17 +1,16 @@
-//! A shard worker that dies must not hang later requests: its job
-//! channel's receiver drops with it, so every job queued or routed there
-//! afterwards resolves its ticket to an error instead of blocking forever.
-//! No shard waits on another, so the other shards keep serving.
+//! A request that panics inside a shard kills that shard, not the engine:
+//! the panic is caught at the locked execute, the request and every later
+//! one routed to the dead shard answer an error, and a broadcast (which
+//! needs every shard) answers an error too. The other shards keep serving.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use cut_engine::{
     Engine, GraphSpec, GraphStore, Mutation, Query, RecoveredGraph, Request, Response,
     ShardOptions, ShardedEngine,
 };
 
-/// The graph whose write-ahead append panics, killing its shard worker.
+/// The graph whose write-ahead append panics, killing its shard.
 const POISON: &str = "boom";
 
 /// A store that keeps nothing and panics when asked to log [`POISON`].
@@ -59,28 +58,24 @@ fn poisonable(shards: usize) -> ShardedEngine {
 
 #[test]
 fn requests_after_a_worker_panic_resolve_to_errors() {
-    let mut engine = poisonable(1);
+    let engine = poisonable(1);
 
     let first = engine.execute(create(POISON));
     assert!(matches!(first, Response::Error { .. }), "the killing request must error: {first}");
 
     // Both land on the dead shard: one routed by name, one broadcast.
-    let later = [engine.submit(create("survivor")), engine.submit(Request::Stats)];
-    for mut ticket in later {
-        let answer = ticket.wait_timeout(Duration::from_secs(3));
+    for request in [create("survivor"), Request::Stats] {
+        let answer = engine.execute(request);
         assert!(
-            matches!(answer, Some(Response::Error { .. })),
-            "a request routed to a dead shard must resolve to an error, got {answer:?}"
+            matches!(answer, Response::Error { .. }),
+            "a request routed to a dead shard must answer an error, got {answer}"
         );
     }
-
-    // Dropped, not shut down: `shutdown` re-raises the worker's panic.
-    drop(engine);
 }
 
 #[test]
 fn a_dead_shard_leaves_its_neighbour_serving() {
-    let mut engine = poisonable(2);
+    let engine = poisonable(2);
     let dead = engine.shard_of(POISON);
     let survivor = (0..)
         .map(|i| format!("survivor{i}"))
@@ -99,18 +94,13 @@ fn a_dead_shard_leaves_its_neighbour_serving() {
     let mut plain = Engine::new();
     for request in requests {
         let want = plain.execute(request.clone());
-        let mut ticket = engine.submit(request.clone());
-        let got = ticket.wait_timeout(Duration::from_secs(3));
-        assert_eq!(got.as_ref(), Some(&want), "live shard diverged on {request}");
+        assert_eq!(engine.execute(request.clone()), want, "live shard diverged on {request}");
     }
 
     // A broadcast needs every shard's partial, so the dead one fails it.
-    let answer = engine.submit(Request::Stats).wait_timeout(Duration::from_secs(3));
+    let answer = engine.execute(Request::Stats);
     assert!(
-        matches!(answer, Some(Response::Error { .. })),
-        "a broadcast touching a dead shard must resolve to an error, got {answer:?}"
+        matches!(answer, Response::Error { .. }),
+        "a broadcast touching a dead shard must answer an error, got {answer}"
     );
-
-    // Dropped, not shut down: `shutdown` re-raises the worker's panic.
-    drop(engine);
 }

@@ -5,9 +5,9 @@
 //! `std::net::TcpListener`, accepts up to
 //! [`ServerConfig::max_conns`] concurrent connections
 //! (thread-per-connection — the vendoring constraints rule out an async
-//! runtime, and a bounded acceptor pool is exactly what the engine's
-//! thread-backed shards want anyway), and speaks the line-delimited wire
-//! protocol specified in `docs/PROTOCOL.md`:
+//! runtime, and the engine's shards are locks, not threads, so the
+//! connection threads are the only serving threads), and speaks the
+//! line-delimited wire protocol specified in `docs/PROTOCOL.md`:
 //!
 //! - the client opens with `HELLO cut/1`, the server answers `OK cut/1`
 //!   (anything else — version mismatch, capacity, draining — is an
@@ -19,42 +19,44 @@
 //! - a malformed request line costs exactly one `error protocol: …`
 //!   response; the session (and every other session) keeps serving.
 //!
-//! Every connection pipelines into the *same* [`ShardedEngine`]: a
-//! session's reader thread parses lines and submits them (one short
-//! critical section per request, so concurrent sessions interleave at
-//! request granularity and per-connection order is preserved), while its
-//! writer thread resolves tickets in order and streams the response
-//! lines back. The engine's shard count and [`ShardOptions`] (durability,
-//! telemetry) are set at construction through [`ServerConfig`] and work
-//! unchanged underneath the socket layer.
+//! Every connection serves into the *same* [`ShardedEngine`], and each
+//! session is one thread: it reads a line, executes it under the lock of
+//! the shard that owns the graph (every shard lock, for a broadcast),
+//! logs it, and writes the answer, releasing the lock before touching the
+//! socket. Concurrent sessions interleave at request granularity and run
+//! in parallel when their graphs live on different shards;
+//! per-connection order is call order. The server reads a connection's
+//! next line only after answering the previous one, so a client that
+//! never reads meets TCP backpressure, not a growing server queue. The
+//! engine's shard count and [`ShardOptions`] (durability, telemetry) are
+//! set at construction through [`ServerConfig`] and work unchanged
+//! underneath the socket layer.
 //!
 //! **Graceful drain** ([`ServerHandle::shutdown`], the SIGTERM-equivalent
 //! — the `cut-server` binary triggers it from a `shutdown` line on
 //! stdin, since vendored-offline builds have no signal-handling crate):
 //! new connections are refused with `error server draining`, open
 //! sessions keep reading until their socket goes quiet for one poll
-//! interval — so requests the client already flushed are still served —
-//! then finish and deliver every in-flight response, and [`Server::run`]
-//! returns the engine's final per-shard stats once the last session
-//! closes.
+//! interval — so requests the client already flushed are still served and
+//! answered — and [`Server::run`] returns the engine's final per-shard
+//! stats once the last session closes.
 //!
 //! With [`ServerConfig::log_path`] set, the server also writes the same
 //! `{seq:06} {request} -> {response}` operation log the stress harness
-//! digests — sequence numbers are allocated in engine-submission order,
-//! so a single-connection session's server log is byte-identical to an
+//! digests — each request draws its sequence number while it holds its
+//! shard lock, so every shard's numbers follow its execution order, and a
+//! single-connection session's server log is byte-identical to an
 //! in-process run of the same request stream (the CI loopback gate).
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cut_engine::{EngineStats, Registry, Request, Response, ShardOptions, ShardedEngine, Ticket};
+use cut_engine::{EngineStats, Registry, Request, Response, ShardOptions, ShardedEngine};
 
 /// The protocol version this server speaks. The handshake is strict
 /// equality — see `docs/PROTOCOL.md` for how versions evolve.
@@ -63,7 +65,7 @@ pub const PROTOCOL_VERSION: &str = "cut/1";
 /// How to run a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker shards of the underlying [`ShardedEngine`].
+    /// Shards of the underlying [`ShardedEngine`].
     pub shards: usize,
     /// Per-shard engine configuration plus placement flags.
     pub opts: ShardOptions,
@@ -80,9 +82,9 @@ pub struct ServerConfig {
     /// JSON to this path — every [`ServerConfig::metrics_every`] while
     /// running (tmp + atomic rename, so readers never see a torn file)
     /// and once more at drain, when the slow-query log is also dumped to
-    /// stdout. The snapshot request goes straight to the engine without a
-    /// log sequence number, so the operation log stays byte-identical
-    /// with or without telemetry export.
+    /// stdout. The snapshot request takes no log sequence number, so the
+    /// operation log stays byte-identical with or without telemetry
+    /// export.
     pub metrics_out: Option<String>,
     /// Interval between periodic metrics snapshots (ignored without
     /// [`ServerConfig::metrics_out`]).
@@ -103,22 +105,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// The engine plus the request sequence counter it orders. One mutex for
-/// both, so "allocate seq" and "submit" are a single atomic step — that
-/// is what makes the server log's sequence numbers equal the engine's
-/// true submission order.
-struct EngineSlot {
-    /// `None` once drained: late requests get `error server draining`.
-    engine: Option<ShardedEngine>,
-    next_seq: u64,
-}
-
 /// State shared by the acceptor and every session thread.
 struct Shared {
-    engine: Mutex<EngineSlot>,
-    /// Live sessions' streams — the capacity count, and a place to hang
-    /// future per-connection introspection.
-    conns: Mutex<HashMap<u64, TcpStream>>,
+    engine: ShardedEngine,
+    /// The next operation-log sequence number, drawn under the shard
+    /// lock(s) of the request it numbers.
+    next_seq: AtomicU64,
+    /// Live sessions: checked against `max_conns` and incremented in one
+    /// step by the acceptor, decremented by each session as it ends.
+    open_conns: AtomicUsize,
     draining: AtomicBool,
     idle_timeout: Duration,
     max_conns: usize,
@@ -132,13 +127,27 @@ struct Shared {
 }
 
 impl Shared {
-    /// Append one operation-log line. Flushing is deferred to the
-    /// session's quiet moments (`flush_log`).
-    fn log_line(&self, seq: u64, display: &str, response: &Response) {
+    /// Execute one session request. Every request but an introspection
+    /// draws a sequence number and writes one operation-log line.
+    /// Introspections (`stats metrics`, `stats slowlog`) take neither:
+    /// telemetry rides outside the op-log stream, so issuing it never
+    /// perturbs a digest.
+    fn serve(&self, request: Request) -> Response {
+        if matches!(request, Request::Metrics | Request::Slowlog) {
+            return self.engine.execute(request);
+        }
+        // The log line wants the compact Display form, not the wire form.
+        let display = format!("{request}");
+        // Relaxed suffices: the shard lock orders the draws of the
+        // requests it serializes, and the number publishes nothing else.
+        let (seq, response) =
+            self.engine.execute_with(request, || self.next_seq.fetch_add(1, Ordering::Relaxed));
         if let Some(log) = &self.log {
             let mut w = log.lock().expect("log lock");
             let _ = writeln!(w, "{seq:06} {display} -> {response}");
         }
+        self.served.fetch_add(1, Ordering::Relaxed);
+        response
     }
 
     fn flush_log(&self) {
@@ -147,33 +156,18 @@ impl Shared {
         }
     }
 
-    /// One introspection request through the engine, bypassing the
-    /// operation-log sequence counter: the broadcast barrier semantics
-    /// are the same as any session's, but no `{seq}` line is consumed,
-    /// so the server log digest is byte-identical with telemetry export
-    /// on or off.
-    fn introspect(&self, request: Request) -> Option<Response> {
-        let ticket = {
-            let mut slot = self.engine.lock().expect("engine lock");
-            slot.engine.as_mut().map(|engine| engine.submit(request))
-        }?;
-        Some(ticket.wait())
-    }
-
     /// Fetch the merged telemetry registry and write it as
     /// `cut-metrics/1` JSON (tmp + atomic rename) to `metrics_out`.
     fn write_metrics_snapshot(&self) {
         let Some(path) = &self.metrics_out else { return };
-        let Some(Response::Metrics { snapshot }) = self.introspect(Request::Metrics) else {
+        let Response::Metrics { snapshot } = self.engine.execute(Request::Metrics) else {
             return;
         };
         let Ok(mut registry) = Registry::from_wire(&snapshot) else { return };
         // Serving-layer families ride along with the engine's.
         registry.inc("server_responses_served", self.served.load(Ordering::Relaxed));
-        registry.set_gauge(
-            "server_open_connections",
-            self.conns.lock().expect("conns lock").len() as u64,
-        );
+        registry
+            .set_gauge("server_open_connections", self.open_conns.load(Ordering::SeqCst) as u64);
         let tmp = format!("{path}.tmp");
         if std::fs::write(&tmp, registry.render_json()).is_ok() {
             let _ = std::fs::rename(&tmp, path);
@@ -200,11 +194,11 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Begin the graceful drain (idempotent): refuse new connections,
-    /// let open sessions consume what their clients already sent (they
-    /// exit at the first quiet poll interval), let every in-flight
-    /// request finish and deliver its response, then let [`Server::run`]
-    /// return. Session readers poll with a short timeout, so no nudge is
-    /// needed — a blocked reader notices the drain within ~100ms.
+    /// let open sessions serve and answer what their clients already sent
+    /// (they exit at the first quiet poll interval), then let
+    /// [`Server::run`] return. Sessions poll the socket with a short
+    /// timeout, so no nudge is needed — a blocked session notices the
+    /// drain within ~100ms.
     pub fn shutdown(&self) {
         if self.shared.draining.swap(true, Ordering::SeqCst) {
             return;
@@ -233,11 +227,9 @@ impl Server {
             None => None,
         };
         let shared = Arc::new(Shared {
-            engine: Mutex::new(EngineSlot {
-                engine: Some(ShardedEngine::with_options(cfg.shards, cfg.opts)),
-                next_seq: 0,
-            }),
-            conns: Mutex::new(HashMap::new()),
+            engine: ShardedEngine::with_options(cfg.shards, cfg.opts),
+            next_seq: AtomicU64::new(0),
+            open_conns: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             idle_timeout: cfg.idle_timeout,
             max_conns: cfg.max_conns,
@@ -261,10 +253,9 @@ impl Server {
 
     /// Accept and serve until [`ServerHandle::shutdown`] drains the
     /// server. Returns the engine's final per-shard stats (the same
-    /// counters `ShardedEngine::shutdown` reports in process).
+    /// counters `ShardedEngine::stats` reports in process).
     pub fn run(self) -> Vec<EngineStats> {
         let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-        let mut next_conn = 0u64;
         // Periodic telemetry export: snapshots every `metrics_every`
         // until the drain flag rises. Sleeps in short ticks so a drain
         // is noticed promptly.
@@ -291,31 +282,25 @@ impl Server {
             }
             // Reap finished sessions so the handle list stays bounded.
             sessions.retain(|s| !s.is_finished());
-            let conn_id = next_conn;
-            next_conn += 1;
-            {
-                let mut conns = self.shared.conns.lock().expect("conns lock");
-                if conns.len() >= self.shared.max_conns {
-                    drop(conns);
-                    refuse(
-                        stream,
-                        &format!("server at capacity ({} connections)", self.shared.max_conns),
-                    );
-                    continue;
-                }
-                if let Ok(clone) = stream.try_clone() {
-                    conns.insert(conn_id, clone);
-                } else {
-                    continue;
-                }
+            let max = self.shared.max_conns;
+            let admitted = self
+                .shared
+                .open_conns
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |open| {
+                    (open < max).then_some(open + 1)
+                })
+                .is_ok();
+            if !admitted {
+                refuse(stream, &format!("server at capacity ({max} connections)"));
+                continue;
             }
             let shared = Arc::clone(&self.shared);
             sessions.push(std::thread::spawn(move || {
                 serve_session(stream, &shared);
-                shared.conns.lock().expect("conns lock").remove(&conn_id);
+                shared.open_conns.fetch_sub(1, Ordering::SeqCst);
             }));
         }
-        // Drain: every session finishes its in-flight work and exits.
+        // Drain: every session answers what it has read and exits.
         for session in sessions {
             let _ = session.join();
         }
@@ -328,7 +313,7 @@ impl Server {
             // slow-query log dumps to stdout — the drain-time flight
             // recorder.
             self.shared.write_metrics_snapshot();
-            if let Some(Response::Slowlog { snapshot }) = self.shared.introspect(Request::Slowlog) {
+            if let Response::Slowlog { snapshot } = self.shared.engine.execute(Request::Slowlog) {
                 if let Ok(log) = cut_engine::SlowLog::from_wire(&snapshot) {
                     if !log.is_empty() {
                         println!("cut-server: slow-query log ({} spans):", log.entries().len());
@@ -337,8 +322,7 @@ impl Server {
                 }
             }
         }
-        let engine = self.shared.engine.lock().expect("engine lock").engine.take();
-        engine.map(ShardedEngine::shutdown).unwrap_or_default()
+        self.shared.engine.stats()
     }
 
     /// Total responses delivered so far (all sessions).
@@ -380,7 +364,7 @@ enum ReadOutcome {
 /// Partial lines survive across poll timeouts: `read_line` appends what
 /// arrived, and the next attempt continues the same `line`.
 fn read_line_polled(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     line: &mut String,
     poll: Duration,
     shared: &Shared,
@@ -417,39 +401,40 @@ fn read_line_polled(
     }
 }
 
-/// What a session's reader hands its writer.
-enum Item {
-    /// A raw protocol line (greeting, idle notice) — sent verbatim.
-    Raw(String),
-    /// An engine-free response (protocol errors, draining refusals).
-    Ready(Response),
-    /// A submitted request: resolve the ticket, log, respond.
-    Pending { seq: u64, display: String, ticket: Ticket },
-    /// A submitted introspection (`stats metrics` / `stats slowlog`):
-    /// resolve the ticket and respond in pipeline position, but allocate
-    /// no sequence number and write no log line — telemetry rides
-    /// outside the op-log stream, so issuing it never perturbs a digest.
-    Introspection { ticket: Ticket },
+/// A session's write half. A failed write marks the client gone; the
+/// session goes on serving what it reads until EOF, so every request the
+/// client sent is still executed and logged.
+struct Replies<'a> {
+    w: BufWriter<&'a TcpStream>,
+    client_gone: bool,
 }
 
-/// One session: this thread reads, parses, and submits; a paired writer
-/// thread resolves tickets in order and streams responses back. The split
-/// is what makes a session a *pipeline* — the reader can be many requests
-/// ahead of the slowest response.
-fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
+impl Replies<'_> {
+    fn send(&mut self, line: &str) {
+        if !self.client_gone {
+            let write = self.w.write_all(line.as_bytes()).and_then(|_| self.w.write_all(b"\n"));
+            self.client_gone = write.is_err();
+        }
+    }
+
+    fn flush(&mut self) {
+        if !self.client_gone {
+            self.client_gone = self.w.flush().is_err();
+        }
+    }
+}
+
+/// One session, on one thread: read a line, execute it, log it, write
+/// the answer. The shard lock is released before the socket is touched,
+/// so a slow reader never stalls a shard.
+fn serve_session(stream: TcpStream, shared: &Shared) {
     stream.set_nodelay(true).ok();
     // Short socket timeout = the reader's poll tick; idle and drain
     // detection are layered on top in `read_line_polled`.
     let poll = POLL_INTERVAL.min(shared.idle_timeout);
     stream.set_read_timeout(Some(poll)).ok();
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-
-    let (tx, rx) = channel::<Item>();
-    let writer = {
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || writer_loop(stream, rx, &shared))
-    };
+    let mut reader = BufReader::new(&stream);
+    let mut replies = Replies { w: BufWriter::new(&stream), client_gone: false };
 
     // Handshake: exactly one HELLO line, answered before anything else.
     let mut line = String::new();
@@ -465,26 +450,32 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
                 line.trim_end_matches(['\r', '\n'])
             ),
         };
-        let _ = tx.send(Item::Ready(Response::Error { message }));
-        drop(tx);
-        let _ = writer.join();
+        replies.send(&Response::Error { message }.to_trace_line());
+        replies.flush();
+        let _ = stream.shutdown(Shutdown::Both);
         return;
     }
-    let _ = tx.send(Item::Raw(format!("OK {PROTOCOL_VERSION}")));
+    replies.send(&format!("OK {PROTOCOL_VERSION}"));
 
     loop {
+        // No complete request left in the buffer: push the answers so far
+        // to the client (and the log file, so an external `cmp` right
+        // after a client run never races buffered lines) before the next
+        // read can block.
+        if !reader.buffer().contains(&b'\n') {
+            replies.flush();
+            shared.flush_log();
+        }
         line.clear();
         match read_line_polled(&mut reader, &mut line, poll, shared) {
             ReadOutcome::Line => {}
             // Draining and the socket went quiet: everything the client
-            // flushed before the drain has been submitted. Stop reading;
-            // the writer still delivers every in-flight response.
+            // flushed before the drain has been served and answered.
             ReadOutcome::Drained => break,
             ReadOutcome::Idle => {
                 // Idle timeout: tell the client why, best-effort, and close.
-                let _ = tx.send(Item::Ready(Response::Error {
-                    message: format!("idle timeout ({:?})", shared.idle_timeout),
-                }));
+                let message = format!("idle timeout ({:?})", shared.idle_timeout);
+                replies.send(&Response::Error { message }.to_trace_line());
                 break;
             }
             ReadOutcome::Eof | ReadOutcome::Failed => break,
@@ -493,90 +484,16 @@ fn serve_session(stream: TcpStream, shared: &Arc<Shared>) {
         if trimmed.is_empty() {
             continue; // blank keep-alive lines are tolerated
         }
-        let request = match Request::from_trace_line(trimmed) {
-            Ok(request) => request,
-            Err(e) => {
-                // One malformed line costs one error response; the
-                // session — and its pipeline position — survives.
-                let _ = tx.send(Item::Ready(Response::Error { message: format!("protocol: {e}") }));
-                continue;
-            }
+        let response = match Request::from_trace_line(trimmed) {
+            Ok(request) => shared.serve(request),
+            // One malformed line costs one error response; the session
+            // survives.
+            Err(e) => Response::Error { message: format!("protocol: {e}") },
         };
-        // The log line wants the compact Display form, not the wire form.
-        let display = format!("{request}");
-        let introspection = matches!(request, Request::Metrics | Request::Slowlog);
-        let submitted = {
-            let mut slot = shared.engine.lock().expect("engine lock");
-            let slot = &mut *slot;
-            match slot.engine.as_mut() {
-                Some(engine) => {
-                    // Introspections keep their pipeline position but
-                    // consume no sequence number (see Item::Introspection).
-                    let seq = if introspection {
-                        0
-                    } else {
-                        slot.next_seq += 1;
-                        slot.next_seq - 1
-                    };
-                    Some((seq, engine.submit(request)))
-                }
-                None => None,
-            }
-        };
-        let item = match submitted {
-            Some((_, ticket)) if introspection => Item::Introspection { ticket },
-            Some((seq, ticket)) => Item::Pending { seq, display, ticket },
-            None => Item::Ready(Response::Error { message: "server draining".into() }),
-        };
-        if tx.send(item).is_err() {
-            break; // writer died (socket gone); nothing left to serve
-        }
+        replies.send(&response.to_trace_line());
     }
 
-    drop(tx);
-    let _ = writer.join();
-}
-
-/// The session's write half: resolve items in order, stream response
-/// lines, and batch flushes to the pipeline's quiet moments. Socket write
-/// failures do not abort the loop — tickets already submitted must still
-/// be resolved so the server log records every served request.
-fn writer_loop(stream: TcpStream, rx: Receiver<Item>, shared: &Arc<Shared>) {
-    let mut w = BufWriter::new(stream);
-    let mut client_gone = false;
-    while let Ok(first) = rx.recv() {
-        let mut next = Some(first);
-        while let Some(item) = next {
-            let line = match item {
-                Item::Raw(line) => line,
-                Item::Ready(response) => response.to_trace_line(),
-                Item::Pending { seq, display, ticket } => {
-                    let response = ticket.wait();
-                    shared.log_line(seq, &display, &response);
-                    shared.served.fetch_add(1, Ordering::Relaxed);
-                    response.to_trace_line()
-                }
-                Item::Introspection { ticket } => ticket.wait().to_trace_line(),
-            };
-            if !client_gone {
-                let write = w.write_all(line.as_bytes()).and_then(|_| w.write_all(b"\n"));
-                if write.is_err() {
-                    client_gone = true;
-                }
-            }
-            next = rx.try_recv().ok();
-        }
-        // Queue momentarily empty: push what we have to the client (and
-        // the log file, so an external `cmp` right after a client run
-        // never races buffered lines).
-        if !client_gone && w.flush().is_err() {
-            client_gone = true;
-        }
-        shared.flush_log();
-    }
-    if !client_gone {
-        let _ = w.flush();
-    }
-    let _ = w.get_ref().shutdown(Shutdown::Both);
+    replies.flush();
+    let _ = stream.shutdown(Shutdown::Both);
     shared.flush_log();
 }

@@ -6,9 +6,12 @@
 //! ```
 //!
 //! Engine flags: `--shards N` (graphs route to shards by the hash of
-//! their name) and `--cache-entries N`. A `stress --remote` run leaves
-//! these to the server. The stress harness's `--kernel` is in-process
-//! only and has no server flag.
+//! their name) and `--cache-entries N`. A shard is a lock around its own
+//! engine, not a thread: each connection's requests run on that
+//! connection's thread, so the process runs the main thread, the stdin
+//! watcher and one thread per open connection. A `stress --remote` run
+//! leaves these flags to the server. The stress harness's `--kernel` is
+//! in-process only and has no server flag.
 //! Serving-layer flags:
 //! `--addr HOST:PORT`, `--max-conns N`, `--idle-timeout-ms N`, and
 //! `--log PATH` (the deterministic operation log, byte-comparable to an
@@ -26,7 +29,7 @@
 //!
 //! Shutdown: send the line `shutdown` on stdin (the SIGTERM-equivalent
 //! available without a signal-handling dependency); the server refuses
-//! new connections, finishes and delivers all in-flight responses, then
+//! new connections, answers every request its clients already sent, then
 //! prints final per-shard stats and exits. Killing the process instead
 //! also works — clients see the socket close — it just skips the stats.
 
@@ -115,6 +118,8 @@ fn parse_args() -> Result<Args, String> {
                      [--idle-timeout-ms N] [--log PATH] [--data-dir PATH] \
                      [--snapshot-every N] [--resident-cap N] [--fsync] \
                      [--metrics-out PATH] [--metrics-every MS]\n\
+                     --shards N splits the graphs over N locked shards; each connection is \
+                     served on its own thread\n\
                      send 'shutdown' on stdin for a graceful drain"
                 );
                 std::process::exit(0);

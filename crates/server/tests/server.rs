@@ -5,11 +5,16 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cut_client::{ClientError, Connection, ReconnectPolicy};
-use cut_engine::{Engine, EngineStats, GraphSpec, Mutation, Query, Request, Response};
+use cut_engine::{
+    Engine, EngineStats, GraphSpec, GraphStore, Mutation, Query, RecoveredGraph, Request, Response,
+    ShardOptions, ShardedEngine,
+};
 use cut_server::{Server, ServerConfig, ServerHandle, PROTOCOL_VERSION};
 
 /// Start a server on a free loopback port; return its address, handle,
@@ -464,4 +469,170 @@ fn removed_placement_flags_are_unknown() {
         assert_eq!(out.status.code(), Some(2), "cut-server {args:?}: {stderr}");
         assert!(stderr.contains("unknown flag"), "cut-server {args:?}: {stderr}");
     }
+}
+
+/// A store that keeps nothing and calls its hook on every write-ahead
+/// append: the seam for injecting a panic or a stall into the shard that
+/// serves a graph.
+struct HookStore<F>(F);
+
+impl<F: Fn(&str, &Request) + Send + Sync> GraphStore for HookStore<F> {
+    fn log(&self, name: &str, request: &Request, _response: &Response) {
+        (self.0)(name, request)
+    }
+
+    fn contains(&self, _name: &str) -> bool {
+        false
+    }
+
+    fn names(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    fn wants_snapshot(&self, _name: &str) -> bool {
+        false
+    }
+
+    fn snapshot(&self, _name: &str, _state: &str) {}
+
+    fn spill(&self, _name: &str, _state: &str) {}
+
+    fn load(&self, _name: &str) -> Option<RecoveredGraph> {
+        None
+    }
+
+    fn drop_graph(&self, _name: &str, _request: &Request, _response: &Response) {}
+}
+
+/// A two-shard server over `store`.
+fn start_with_store(
+    store: impl GraphStore + 'static,
+) -> (String, ServerHandle, JoinHandle<Vec<EngineStats>>) {
+    let store: Arc<dyn GraphStore> = Arc::new(store);
+    start(ServerConfig {
+        opts: ShardOptions { store: Some(store), ..ShardOptions::default() },
+        ..sharded_cfg(2)
+    })
+}
+
+/// A graph name that routes to shard `shard` of a two-shard engine.
+fn name_on_shard(shard: usize, prefix: &str) -> String {
+    let router = ShardedEngine::new(2);
+    (0..)
+        .map(|i| format!("{prefix}{i}"))
+        .find(|name| router.shard_of(name) == shard)
+        .expect("some name hashes to every shard")
+}
+
+/// A request that panics inside a shard kills that shard only: over the
+/// wire, it and every later request needing the shard answer `error`,
+/// while the other shard, the session and other sessions keep serving.
+#[test]
+fn a_dead_shard_answers_errors_while_the_server_keeps_serving() {
+    let (addr, handle, run) = start_with_store(HookStore(|name: &str, _: &Request| {
+        if name == "boom" {
+            panic!("injected store failure for graph '{name}'");
+        }
+    }));
+    let dead = ShardedEngine::new(2).shard_of("boom");
+    let live = name_on_shard(1 - dead, "live");
+    let doomed = name_on_shard(dead, "doomed");
+    let mut conn = Connection::connect(&addr).expect("connect");
+
+    let answer = conn.execute(&create_ring("boom")).expect("served");
+    assert!(matches!(answer, Response::Error { .. }), "the panicking create must error: {answer}");
+
+    let mut plain = Engine::new();
+    for request in [
+        create_ring(&live),
+        Request::Mutate { name: live.clone(), op: Mutation::InsertEdge { u: 0, v: 8, w: 5 } },
+        Request::Query { name: live.clone(), query: Query::ExactMinCut },
+    ] {
+        let want = plain.execute(request.clone());
+        assert_eq!(
+            conn.execute(&request).expect("served"),
+            want,
+            "live shard diverged on {request}"
+        );
+    }
+    for request in [create_ring(&doomed), Request::Stats] {
+        let answer = conn.execute(&request).expect("served");
+        assert!(
+            matches!(answer, Response::Error { .. }),
+            "{request} needs the dead shard: {answer}"
+        );
+    }
+
+    let mut second = Connection::connect(&addr).expect("second connect");
+    let request = Request::Query { name: live.clone(), query: Query::ExactMinCut };
+    let want = plain.execute(request.clone());
+    assert_eq!(second.execute(&request).expect("second session served"), want);
+
+    drop((conn, second));
+    handle.shutdown();
+    run.join().expect("server run");
+}
+
+/// Connection A's mutation of `slow` stalls inside its shard's lock. A
+/// connection whose graph lives on the other shard is still served; a
+/// broadcast, which needs every shard, waits for the release.
+#[test]
+fn shards_serve_independently() {
+    let (parked_tx, parked) = channel();
+    let (release, release_rx) = channel::<()>();
+    let (parked_tx, release_rx) = (Mutex::new(parked_tx), Mutex::new(release_rx));
+    let (addr, handle, run) = start_with_store(HookStore(move |name: &str, request: &Request| {
+        if name == "slow" && matches!(request, Request::Mutate { .. }) {
+            parked_tx.lock().expect("parked lock").send(()).expect("test listens");
+            release_rx.lock().expect("release lock").recv().expect("test releases");
+        }
+    }));
+    let other = name_on_shard(1 - ShardedEngine::new(2).shard_of("slow"), "other");
+    let bound = Duration::from_secs(5);
+
+    let mut a = Connection::connect(&addr).expect("connect A");
+    a.execute(&create_ring("slow")).expect("create slow");
+    let stalled = a
+        .submit(&Request::Mutate { name: "slow".into(), op: Mutation::DeleteEdge { u: 0, v: 1 } })
+        .expect("submit the stalling mutation");
+    parked.recv_timeout(bound).expect("the mutation reaches the store");
+
+    // B, on the other shard: answered while A holds slow's shard.
+    let (b_tx, b_rx) = channel();
+    let addr_b = addr.clone();
+    let b = std::thread::spawn(move || {
+        let mut b = Connection::connect(&addr_b).expect("connect B");
+        let created = b.execute(&create_ring(&other)).expect("create other");
+        let cut = b
+            .execute(&Request::Query { name: other, query: Query::ExactMinCut })
+            .expect("query other");
+        b_tx.send((created, cut)).expect("test listens");
+    });
+    let (created, cut) = b_rx.recv_timeout(bound).expect("the other shard must keep serving");
+    assert!(matches!(created, Response::Created { .. }), "got {created}");
+    assert!(matches!(cut, Response::CutValue { weight: 2, .. }), "got {cut}");
+    b.join().expect("connection B");
+
+    // C's broadcast needs slow's shard too: no answer until the release.
+    let (c_tx, c_rx) = channel();
+    let addr_c = addr.clone();
+    let c = std::thread::spawn(move || {
+        let mut c = Connection::connect(&addr_c).expect("connect C");
+        c_tx.send(c.execute(&Request::Stats).expect("stats")).expect("test listens");
+    });
+    assert_eq!(
+        c_rx.recv_timeout(Duration::from_millis(300)).err(),
+        Some(RecvTimeoutError::Timeout),
+        "a broadcast must wait for the stalled shard"
+    );
+    release.send(()).expect("store waits");
+    let stats = c_rx.recv_timeout(bound).expect("the broadcast answers after the release");
+    assert!(matches!(stats, Response::EngineStats { graphs: 2, mutations: 1, .. }), "got {stats}");
+    let mutated = stalled.wait().expect("the stalled mutation answers");
+    assert!(matches!(mutated, Response::Mutated { .. }), "got {mutated}");
+    c.join().expect("connection C");
+
+    drop(a);
+    handle.shutdown();
+    run.join().expect("server run");
 }

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cut_engine::{
-    Engine, EngineConfig, GraphStore, Request, ShardOptions, ShardedEngine, Ticket, Workload,
+    Engine, EngineConfig, GraphStore, Request, ShardOptions, ShardedEngine, Workload,
     WorkloadConfig,
 };
 use cut_store::{Store, StoreOptions};
@@ -81,10 +81,8 @@ fn sharded_capped_engine_answers_byte_identically() {
         store: Some(Arc::clone(&store) as Arc<dyn GraphStore>),
         ..ShardOptions::default()
     };
-    let mut sharded = ShardedEngine::with_options(4, opts);
-    let tickets: Vec<Ticket> = requests.iter().map(|r| sharded.submit(r.clone())).collect();
-    let responses: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
-    sharded.shutdown();
+    let sharded = ShardedEngine::with_options(4, opts);
+    let responses: Vec<_> = requests.iter().map(|r| sharded.execute(r.clone())).collect();
 
     assert_eq!(
         op_log(&requests, &responses),

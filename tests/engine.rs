@@ -180,9 +180,8 @@ proptest! {
     }
 
     /// For any random workload (write-heavy or read-only) and any shard
-    /// count, the sharded engine's response stream (pipelined, collected
-    /// in submission order) is element-wise identical to the
-    /// single-threaded engine's.
+    /// count, the sharded engine's response stream is element-wise
+    /// identical to the single-threaded engine's.
     #[test]
     fn sharded_engine_matches_unsharded_on_random_workloads(
         seed in any::<u64>(),
@@ -206,16 +205,14 @@ proptest! {
         let expected: Vec<Response> =
             workload.all_requests().map(|r| reference.execute(r.clone())).collect();
 
-        // Pipelined: all tickets in flight at once, waited in order.
-        let mut sharded = ShardedEngine::new(shards);
-        let tickets: Vec<_> =
-            workload.all_requests().map(|r| sharded.submit(r.clone())).collect();
-        let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
+        let sharded = ShardedEngine::new(shards);
+        let got: Vec<Response> =
+            workload.all_requests().map(|r| sharded.execute(r.clone())).collect();
         prop_assert_eq!(&got, &expected);
 
         // Per-shard stats must sum to the reference engine's counters.
         let mut total = cut_engine::EngineStats::default();
-        for s in sharded.shutdown() {
+        for s in sharded.stats() {
             total.merge(&s);
         }
         prop_assert_eq!(total.queries, reference.stats().queries);
@@ -282,13 +279,12 @@ proptest! {
     }
 
     /// Broadcasts under fire: with `Stats` and `ListGraphs` injected
-    /// mid-stream, the pipelined response stream of the default mix must
-    /// stay element-wise identical to the single-threaded engine for any
-    /// shard count, and the merged served counters must equal the
-    /// reference engine's. (The name dates from adaptive placement; each
-    /// graph now stays on its hashed shard.)
+    /// mid-stream, the response stream of the default mix must stay
+    /// element-wise identical to the single-threaded engine for any shard
+    /// count, and the merged served counters must equal the reference
+    /// engine's.
     #[test]
-    fn rebalanced_engine_matches_unsharded_on_random_workloads(
+    fn mid_stream_broadcasts_match_unsharded_on_random_workloads(
         seed in any::<u64>(),
         ops in 40usize..120,
         shards in 1usize..5,
@@ -318,13 +314,12 @@ proptest! {
         let expected: Vec<Response> =
             requests.iter().map(|r| reference.execute(r.clone())).collect();
 
-        let mut sharded = ShardedEngine::new(shards);
-        let tickets: Vec<_> = requests.iter().map(|r| sharded.submit(r.clone())).collect();
-        let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
+        let sharded = ShardedEngine::new(shards);
+        let got: Vec<Response> = requests.iter().map(|r| sharded.execute(r.clone())).collect();
         prop_assert_eq!(&got, &expected);
 
         let mut total = cut_engine::EngineStats::default();
-        for s in &sharded.shutdown() {
+        for s in &sharded.stats() {
             total.merge(s);
         }
         prop_assert_eq!(total.queries, reference.stats().queries);
@@ -447,7 +442,7 @@ fn cached_answers_always_match_recomputation() {
 /// graphs (and therefore other shards).
 #[test]
 fn sharded_lifecycle_with_interleaved_cross_shard_traffic() {
-    let mut sharded = ShardedEngine::new(4);
+    let sharded = ShardedEngine::new(4);
     let mut plain = Engine::new();
 
     let mut requests: Vec<Request> = Vec::new();
@@ -482,7 +477,7 @@ fn sharded_lifecycle_with_interleaved_cross_shard_traffic() {
 /// path for every request kind that names a graph.
 #[test]
 fn sharded_unknown_graph_error_parity() {
-    let mut sharded = ShardedEngine::new(3);
+    let sharded = ShardedEngine::new(3);
     let mut plain = Engine::new();
     let requests = [
         Request::Query { name: "nope".into(), query: Query::Connectivity },
@@ -498,8 +493,9 @@ fn sharded_unknown_graph_error_parity() {
     }
 }
 
-/// Shutdown must drain a deep in-flight pipeline — mutations included —
-/// before the workers exit, so no submitted request is ever lost.
+/// A deep stream — mutations included — must be served in full: every
+/// answer right, and the per-shard stats read afterwards account for
+/// every query and mutation.
 #[test]
 fn sharded_shutdown_drains_pipelined_mutations_and_queries() {
     let cfg = WorkloadConfig { ops: 300, seed: 41, graphs: 6, initial_n: 16, ..Default::default() };
@@ -509,13 +505,10 @@ fn sharded_shutdown_drains_pipelined_mutations_and_queries() {
     let expected: Vec<Response> =
         workload.all_requests().map(|r| reference.execute(r.clone())).collect();
 
-    let mut sharded = ShardedEngine::new(4);
-    let tickets: Vec<_> = workload.all_requests().map(|r| sharded.submit(r.clone())).collect();
-    // Shut down while (potentially) everything is still queued …
-    let per_shard = sharded.shutdown();
-    // … yet every ticket must resolve to the right answer.
-    let got: Vec<Response> = tickets.into_iter().map(|t| t.wait()).collect();
+    let sharded = ShardedEngine::new(4);
+    let got: Vec<Response> = workload.all_requests().map(|r| sharded.execute(r.clone())).collect();
     assert_eq!(got, expected);
+    let per_shard = sharded.stats();
 
     let served: u64 = per_shard.iter().map(|s| s.queries + s.mutations).sum();
     assert_eq!(served, reference.stats().queries + reference.stats().mutations);
