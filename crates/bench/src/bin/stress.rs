@@ -71,10 +71,13 @@
 //! `--resident-cap N`, `--fsync`): the engine write-ahead logs every
 //! applied request into a `cut_store::Store`, recovering whatever the
 //! directory already holds on startup, and the counter lines gain
-//! `durability` and `recovery` (the `store_*` families). The digest is
-//! invariant under all of it, including a `--resident-cap` far below
-//! `--graphs`: spilling cold graphs to disk and faulting them back must
-//! never change a response. See `docs/DURABILITY.md`.
+//! `durability` and `recovery` (the `store_*` families). A graph
+//! snapshots once `--snapshot-every` WAL records (default 64, 0 = never)
+//! and as many WAL bytes as its last snapshot took sit past its
+//! watermark. The digest is invariant under all of it, including a
+//! `--resident-cap` far below `--graphs`: spilling cold graphs to disk
+//! and faulting them back must never change a response. See
+//! `docs/DURABILITY.md`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -219,7 +222,9 @@ fn parse_args() -> Result<Args, String> {
                      [--data-dir PATH [--snapshot-every N] \
                      [--resident-cap N] [--fsync]]\n\
                      Replays the workload closed loop and prints its log digest; \
-                     perfbench/ measures latency."
+                     perfbench/ measures latency.\n\
+                     --snapshot-every N (default 64, 0 = never): a graph snapshots once N WAL \
+                     records and as many WAL bytes as its last snapshot took sit past it"
                 );
                 std::process::exit(0);
             }

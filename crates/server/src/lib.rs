@@ -136,13 +136,14 @@ impl Shared {
         if matches!(request, Request::Metrics | Request::Slowlog) {
             return self.engine.execute(request);
         }
-        // The log line wants the compact Display form, not the wire form.
-        let display = format!("{request}");
+        // The log line wants the compact Display form, not the wire form;
+        // render it before the request moves, and only when it is logged.
+        let logged = self.log.as_ref().map(|log| (log, request.to_string()));
         // Relaxed suffices: the shard lock orders the draws of the
         // requests it serializes, and the number publishes nothing else.
         let (seq, response) =
             self.engine.execute_with(request, || self.next_seq.fetch_add(1, Ordering::Relaxed));
-        if let Some(log) = &self.log {
+        if let Some((log, display)) = logged {
             let mut w = log.lock().expect("log lock");
             let _ = writeln!(w, "{seq:06} {display} -> {response}");
         }

@@ -22,7 +22,9 @@
 //! on startup the directory is scanned and every durable graph adopted
 //! (faulted in lazily on first touch), so a killed server restarted on
 //! the same directory resumes exactly where the log ends. With it:
-//! `--snapshot-every N` (WAL records between snapshot compactions),
+//! `--snapshot-every N` (the snapshot record floor: a graph snapshots
+//! once N WAL records and as many WAL bytes as its last snapshot took
+//! sit past its watermark; 0 = never),
 //! `--resident-cap N` (spill the coldest graphs beyond N to disk), and
 //! `--fsync` (fsync appends/snapshots — a power-loss knob; plain crash
 //! durability needs only the default flush).
@@ -120,6 +122,8 @@ fn parse_args() -> Result<Args, String> {
                      [--metrics-out PATH] [--metrics-every MS]\n\
                      --shards N splits the graphs over N locked shards; each connection is \
                      served on its own thread\n\
+                     --snapshot-every N (default 64, 0 = never): a graph snapshots once N WAL \
+                     records and as many WAL bytes as its last snapshot took sit past it\n\
                      send 'shutdown' on stdin for a graceful drain"
                 );
                 std::process::exit(0);

@@ -45,6 +45,15 @@
 //! the engine evicts a cold graph under
 //! [`cut_engine::EngineConfig::resident_cap`].
 //!
+//! A graph asks for a periodic snapshot once *both* of these sit past its
+//! watermark: at least [`StoreOptions::snapshot_every`] WAL records (the
+//! record floor), and at least as many WAL bytes as its last snapshot or
+//! spill frame took (the growth ratio Redis uses to trigger AOF
+//! rewrites). A snapshot rewrites the whole graph, so the byte rule makes
+//! every logged byte cost about one byte of snapshot rewrite on average,
+//! however large the graph grows, and bounds recovery's replay at about
+//! one snapshot's worth of WAL beyond the record floor.
+//!
 //! ## Recovery
 //!
 //! [`Store::open`] scans the directory once: orphan tmps are deleted,
@@ -173,16 +182,13 @@ pub fn decode_records(bytes: &[u8]) -> (Vec<(u64, String)>, usize) {
     (records, pos)
 }
 
-/// Encode a snapshot file: header frame plus the `state` payload.
-fn encode_snapshot(watermark: u64, state: &str) -> Vec<u8> {
-    let mut out = format!(
+/// The header line of a snapshot file; the `state` payload follows it.
+fn snapshot_header(watermark: u64, state: &str) -> String {
+    format!(
         "snap {watermark:016x} {len:08x} {sum:016x}\n",
         len = state.len(),
         sum = frame_sum(watermark, state)
     )
-    .into_bytes();
-    out.extend_from_slice(state.as_bytes());
-    out
 }
 
 /// Decode a snapshot file: `(watermark, state)`, or `None` when the file
@@ -242,9 +248,11 @@ fn unhex_name(stem: &str) -> Option<String> {
 /// Knobs for [`Store::open`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOptions {
-    /// WAL records a graph may accumulate past its snapshot watermark
-    /// before [`cut_engine::GraphStore::wants_snapshot`] asks the engine
-    /// for a fresh snapshot. `0` disables periodic snapshots (spill still
+    /// The record floor of the snapshot cadence: a graph asks for a
+    /// fresh snapshot ([`cut_engine::GraphStore::wants_snapshot`]) once at
+    /// least this many WAL records *and* at least its last snapshot
+    /// frame's size in WAL bytes sit past its watermark (see the
+    /// [module docs](self)). `0` disables periodic snapshots (spill still
     /// writes them).
     pub snapshot_every: u64,
     /// `fsync` file data after every append and snapshot. A SIGKILL (or
@@ -312,12 +320,26 @@ struct GraphFile {
     next_seq: u64,
     /// WAL seq the current snapshot covers (0 = no snapshot).
     watermark: u64,
+    /// Bytes of the WAL records past the watermark: what recovery would
+    /// replay, and what must outgrow `snap_bytes` before the next
+    /// snapshot.
+    wal_bytes: u64,
+    /// Byte length of the last snapshot frame, periodic or spill (0 = no
+    /// snapshot).
+    snap_bytes: u64,
     /// Open append handle; `None` until the first append (and after a
     /// compaction rename invalidates the old handle).
     file: Option<File>,
     /// The most recent record, kept for compaction (the rewritten WAL
     /// holds exactly this record) and [`Store::last_record`].
     last: Option<(u64, String)>,
+}
+
+impl GraphFile {
+    /// The entry of a graph with nothing durable yet.
+    fn empty() -> Self {
+        Self { next_seq: 1, watermark: 0, wal_bytes: 0, snap_bytes: 0, file: None, last: None }
+    }
 }
 
 /// Crash injection for the recovery test harness: on the `after`-th event
@@ -336,8 +358,9 @@ struct CrashInjector {
 /// under one directory. See the [module docs](self) for formats and the
 /// recovery protocol.
 ///
-/// Thread-safe behind one internal lock: the sharded engine's workers
-/// share a `Store` through an `Arc`.
+/// Thread-safe behind one internal lock: every shard of a sharded engine
+/// holds the same `Store` through an `Arc` and calls it under its own
+/// shard lock, so appends from different shards take this lock in turn.
 pub struct Store {
     dir: PathBuf,
     opts: StoreOptions,
@@ -399,9 +422,12 @@ impl Store {
                 f.set_len(consumed as u64)?;
                 recovery.torn_tails += 1;
             }
-            let watermark = match fs::read(&snap_path) {
-                Ok(bytes) => decode_snapshot(&bytes).map(|(w, _)| w).unwrap_or(0),
-                Err(_) => 0,
+            // An invalid snapshot counts as none: watermark 0, size 0.
+            let (watermark, snap_bytes) = match fs::read(&snap_path) {
+                Ok(bytes) => {
+                    decode_snapshot(&bytes).map_or((0, 0), |(w, _)| (w, bytes.len() as u64))
+                }
+                Err(_) => (0, 0),
             };
             let tombstoned = records.last().is_some_and(|(_, payload)| {
                 let (request, _) = split_payload(payload);
@@ -423,11 +449,18 @@ impl Store {
             }
             recovery.graphs += 1;
             recovery.wal_records += records.len() as u64;
+            let wal_bytes = records
+                .iter()
+                .filter(|(seq, _)| *seq > watermark)
+                .map(|(_, payload)| (WAL_HEADER + payload.len() + 1) as u64)
+                .sum();
             map.insert(
                 name,
                 GraphFile {
                     next_seq: last_seq.max(watermark) + 1,
                     watermark,
+                    wal_bytes,
+                    snap_bytes,
                     file: None,
                     last: records.last().cloned(),
                 },
@@ -514,14 +547,20 @@ impl Store {
     }
 
     /// Crash-injection hook: when this event is the configured one, write
-    /// a *partial* frame (half the bytes), flush, and abort the process.
-    fn maybe_crash(&self, point: &str, file: &mut File, full: &[u8]) {
+    /// a *partial* frame (the first half of the bytes of `frame`'s parts,
+    /// taken in order), flush, and abort the process.
+    fn maybe_crash(&self, point: &str, file: &mut File, frame: &[&[u8]]) {
         let Some(inj) = &self.crash else { return };
         if inj.point != point {
             return;
         }
         if inj.hits.fetch_add(1, Ordering::SeqCst) + 1 == inj.after {
-            let _ = file.write_all(&full[..full.len() / 2]);
+            let mut half = frame.iter().map(|part| part.len()).sum::<usize>() / 2;
+            for part in frame {
+                let n = half.min(part.len());
+                let _ = file.write_all(&part[..n]);
+                half -= n;
+            }
             let _ = file.flush();
             let _ = file.sync_all();
             std::process::abort();
@@ -532,16 +571,11 @@ impl Store {
     /// the bookkeeping entry) on first use. Flushes before returning —
     /// the log-then-ack contract — and fsyncs under
     /// [`StoreOptions::fsync`].
-    fn append(&self, name: &str, payload: &str) {
+    fn append(&self, name: &str, payload: String) {
         let mut inner = self.inner.lock().expect("store lock poisoned");
-        let entry = inner.entry(name.to_string()).or_insert_with(|| GraphFile {
-            next_seq: 1,
-            watermark: 0,
-            file: None,
-            last: None,
-        });
+        let entry = inner.entry(name.to_string()).or_insert_with(GraphFile::empty);
         let seq = entry.next_seq;
-        let record = encode_record(seq, payload);
+        let record = encode_record(seq, &payload);
         if entry.file.is_none() {
             let file = OpenOptions::new()
                 .create(true)
@@ -551,14 +585,15 @@ impl Store {
             entry.file = Some(file);
         }
         let file = entry.file.as_mut().expect("WAL handle just ensured");
-        self.maybe_crash("append", file, record.as_bytes());
+        self.maybe_crash("append", file, &[record.as_bytes()]);
         file.write_all(record.as_bytes()).expect("WAL append");
         file.flush().expect("WAL flush");
         if self.opts.fsync {
             file.sync_all().expect("WAL fsync");
         }
         entry.next_seq = seq + 1;
-        entry.last = Some((seq, payload.to_string()));
+        entry.wal_bytes += record.len() as u64;
+        entry.last = Some((seq, payload));
         self.counters.wal_appends.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -568,20 +603,18 @@ impl Store {
     /// label (`snapshot` or `spill`).
     fn write_snapshot(&self, name: &str, state: &str, point: &str) {
         let mut inner = self.inner.lock().expect("store lock poisoned");
-        let entry = inner.entry(name.to_string()).or_insert_with(|| GraphFile {
-            next_seq: 1,
-            watermark: 0,
-            file: None,
-            last: None,
-        });
+        let entry = inner.entry(name.to_string()).or_insert_with(GraphFile::empty);
         let watermark = entry.next_seq - 1;
-        let frame = encode_snapshot(watermark, state);
+        let header = snapshot_header(watermark, state);
         let snap = snap_path(&self.dir, name);
         let tmp = snap.with_extension("snap.tmp");
         {
+            // Header and state go out as two writes: the state is the
+            // whole graph, too big to copy into one frame buffer first.
             let mut f = File::create(&tmp).expect("create snapshot tmp");
-            self.maybe_crash(point, &mut f, &frame);
-            f.write_all(&frame).expect("write snapshot tmp");
+            self.maybe_crash(point, &mut f, &[header.as_bytes(), state.as_bytes()]);
+            f.write_all(header.as_bytes()).expect("write snapshot tmp");
+            f.write_all(state.as_bytes()).expect("write snapshot tmp");
             f.flush().expect("flush snapshot tmp");
             if self.opts.fsync {
                 f.sync_all().expect("fsync snapshot tmp");
@@ -589,13 +622,15 @@ impl Store {
         }
         fs::rename(&tmp, &snap).expect("publish snapshot");
         entry.watermark = watermark;
+        entry.snap_bytes = (header.len() + state.len()) as u64;
+        entry.wal_bytes = 0;
         // Compact: the new WAL holds exactly the last record. A crash
         // between the two renames is benign — the old records all sit at
         // or below the watermark, which load() skips.
-        if let Some((seq, payload)) = entry.last.clone() {
+        if let Some((seq, payload)) = &entry.last {
             let wal = wal_path(&self.dir, name);
             let wal_tmp = wal.with_extension("wal.tmp");
-            let record = encode_record(seq, &payload);
+            let record = encode_record(*seq, payload);
             {
                 let mut f = File::create(&wal_tmp).expect("create WAL tmp");
                 f.write_all(record.as_bytes()).expect("write WAL tmp");
@@ -623,7 +658,7 @@ fn snap_path(dir: &Path, name: &str) -> PathBuf {
 impl GraphStore for Store {
     fn log(&self, name: &str, request: &Request, response: &Response) {
         let payload = format!("{}\t{}", request.to_trace_line(), response.to_trace_line());
-        self.append(name, &payload);
+        self.append(name, payload);
     }
 
     fn contains(&self, name: &str) -> bool {
@@ -635,11 +670,14 @@ impl GraphStore for Store {
     }
 
     fn wants_snapshot(&self, name: &str) -> bool {
-        if self.opts.snapshot_every == 0 {
+        let every = self.opts.snapshot_every;
+        if every == 0 {
             return false;
         }
         let inner = self.inner.lock().expect("store lock poisoned");
-        inner.get(name).is_some_and(|g| g.next_seq > g.watermark + self.opts.snapshot_every)
+        inner
+            .get(name)
+            .is_some_and(|g| g.next_seq > g.watermark + every && g.wal_bytes >= g.snap_bytes)
     }
 
     fn snapshot(&self, name: &str, state: &str) {
@@ -698,7 +736,7 @@ impl GraphStore for Store {
         // between the steps leaves a WAL ending in the tombstone, which
         // the next open() garbage-collects.
         let payload = format!("{}\t{}", request.to_trace_line(), response.to_trace_line());
-        self.append(name, &payload);
+        self.append(name, payload);
         let mut inner = self.inner.lock().expect("store lock poisoned");
         let _ = fs::remove_file(snap_path(&self.dir, name));
         let _ = fs::remove_file(wal_path(&self.dir, name));
@@ -814,6 +852,107 @@ mod tests {
         store.log("g", &req, &resp);
         assert_eq!(store.durable_count("g"), 3);
         assert_eq!(store.load("g").unwrap().wal.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Bytes one record with a `len`-byte payload takes in the WAL.
+    fn record_bytes(len: usize) -> u64 {
+        encode_record(1, &"x".repeat(len)).len() as u64
+    }
+
+    #[test]
+    fn snapshot_waits_for_the_record_floor_and_the_last_snapshots_bytes() {
+        let dir = temp_dir("cadence");
+        let store = Store::open(&dir, StoreOptions { snapshot_every: 4, fsync: false }).unwrap();
+        store.append("g", "x".repeat(10));
+        store.snapshot("g", &"s".repeat(1000));
+        let snap = (SNAP_HEADER + 1000) as u64;
+        assert_eq!(fs::metadata(snap_path(&dir, "g")).unwrap().len(), snap);
+        // Small records: the floor passes long before the bytes do.
+        let small = 200;
+        let needed = snap.div_ceil(record_bytes(small));
+        assert!(needed > 4);
+        for appended in 0..needed {
+            assert!(!store.wants_snapshot("g"), "{appended} records in: too few bytes");
+            store.append("g", "x".repeat(small));
+        }
+        assert!(store.wants_snapshot("g"), "both the floor and the bytes are reached");
+        // Big records: the bytes pass long before the floor does.
+        store.snapshot("g", &"s".repeat(1000));
+        for appended in 0..4 {
+            assert!(!store.wants_snapshot("g"), "{appended} records in: below the floor");
+            store.append("g", "x".repeat(2000));
+        }
+        assert!(store.wants_snapshot("g"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_spill_resets_the_cadence_like_a_snapshot() {
+        let dir = temp_dir("spill_cadence");
+        let store = Store::open(&dir, StoreOptions { snapshot_every: 2, fsync: false }).unwrap();
+        for _ in 0..3 {
+            store.append("g", "x".repeat(100));
+        }
+        assert!(store.wants_snapshot("g"), "no snapshot yet: the floor alone decides");
+        store.spill("g", &"s".repeat(500));
+        assert!(!store.wants_snapshot("g"), "a spill folds the WAL behind its watermark");
+        let needed = ((SNAP_HEADER + 500) as u64).div_ceil(record_bytes(100));
+        for _ in 0..needed - 1 {
+            store.append("g", "x".repeat(100));
+        }
+        assert!(!store.wants_snapshot("g"), "past the floor, one record short of the spill");
+        store.append("g", "x".repeat(100));
+        assert!(store.wants_snapshot("g"));
+        assert_eq!(store.counters().snapshots, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopening_seeds_the_cadence_from_the_directory() {
+        let dir = temp_dir("reopen_cadence");
+        let opts = StoreOptions { snapshot_every: 2, fsync: false };
+        let store = Store::open(&dir, opts).unwrap();
+        store.append("g", "x".repeat(10));
+        store.snapshot("g", &"s".repeat(1000));
+        let snap = (SNAP_HEADER + 1000) as u64;
+        // Two records, together one byte short of the snapshot.
+        store.append("g", "x".repeat(500));
+        let rest = snap - 1 - record_bytes(500) - record_bytes(0);
+        store.append("g", "x".repeat(rest as usize));
+        assert!(!store.wants_snapshot("g"));
+        drop(store);
+        // Neither at once (the snapshot's size is seeded) nor never (the
+        // tail's bytes are seeded): one more record of any size tips it.
+        let store = Store::open(&dir, opts).unwrap();
+        assert!(!store.wants_snapshot("g"), "the reopened store must know the snapshot's size");
+        store.append("g", String::new());
+        assert!(store.wants_snapshot("g"), "the reopened store must count the WAL tail");
+        drop(store);
+        // A WAL with no snapshot behind it: the floor alone decides.
+        let store = Store::open(&dir, opts).unwrap();
+        store.append("h", "x".repeat(10));
+        drop(store);
+        let store = Store::open(&dir, opts).unwrap();
+        assert!(!store.wants_snapshot("h"));
+        store.append("h", "x".repeat(10));
+        assert!(store.wants_snapshot("h"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_every_zero_never_snapshots() {
+        let dir = temp_dir("never");
+        let store = Store::open(&dir, StoreOptions { snapshot_every: 0, fsync: false }).unwrap();
+        for _ in 0..100 {
+            store.append("g", "x".repeat(1000));
+            assert!(!store.wants_snapshot("g"));
+        }
+        store.spill("g", "s");
+        for _ in 0..100 {
+            store.append("g", "x".repeat(1000));
+            assert!(!store.wants_snapshot("g"));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
