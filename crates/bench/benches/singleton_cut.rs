@@ -7,7 +7,7 @@ use cut_bench::rng_for;
 use cut_graph::gen;
 use mincut_core::contraction::contraction_oracle;
 use mincut_core::model::ampc_smallest_singleton_cut;
-use mincut_core::priorities::exponential_priorities;
+use mincut_core::priorities::{exponential_priorities, pair_priorities};
 use mincut_core::singleton::{smallest_singleton_cut, SingletonEngine};
 
 fn bench(c: &mut Criterion) {
@@ -31,11 +31,23 @@ fn bench(c: &mut Criterion) {
         });
     }
     // The churn floor: n=12, all 66 pairs, ~4000 parallel edges. One
-    // iteration is what a served singleton-cut query computes: priorities,
-    // one engine, the smallest cut and its bag.
+    // `churn_query` iteration is what a served singleton-cut query
+    // computes: pair priorities, one engine on the collapsed graph, the
+    // smallest cut and its bag. `churn_query_reference` is the same answer
+    // from per-edge priorities on the multigraph.
     let mut rng = rng_for("bench-e3-churn", 12);
     let g = gen::multiplied(&gen::complete(12), 120, 1..=9, &mut rng);
     group.bench_with_input(BenchmarkId::new("churn_query", g.m()), &g, |b, g| {
+        let mut seed = 0;
+        b.iter(|| {
+            seed += 1;
+            let (pairs, prio) = pair_priorities(g, &mut rng_for("churn-query", seed));
+            let engine = SingletonEngine::new(&pairs, &prio);
+            let cut = engine.smallest(&pairs);
+            (cut.weight, engine.bag(cut.leader, cut.time).len())
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("churn_query_reference", g.m()), &g, |b, g| {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;

@@ -5,7 +5,8 @@
 //!
 //! * [`priorities`]: exponential-clock contraction priorities — the unique
 //!   random edge weights of §4.1, correct for *weighted* Karger
-//!   contraction;
+//!   contraction — ranked per edge or, by each pair's least clock, per
+//!   vertex pair;
 //! * [`contraction`]: the contraction-process semantics (`bag`, `Δbag`,
 //!   Observation 7) plus a sequential **oracle** that tracks every
 //!   super-vertex degree over the whole process — the ground truth every
@@ -37,5 +38,5 @@ pub mod singleton;
 pub use contraction::{contract_prefix, contraction_oracle};
 pub use kcut::{apx_split, KCutOptions, KCutResult};
 pub use mincut::{approx_min_cut, MinCutOptions};
-pub use priorities::exponential_priorities;
+pub use priorities::{exponential_priorities, pair_priorities};
 pub use singleton::{smallest_singleton_cut, SingletonCut, SingletonEngine};

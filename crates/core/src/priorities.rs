@@ -11,33 +11,76 @@
 //! property holds recursively after every contraction — the standard
 //! reduction from weighted to unweighted contraction that Ghaffari–Nowicki
 //! also use. With unit weights this is a uniformly random permutation.
+//!
+//! [`exponential_priorities`] ranks all m clocks. Algorithm 3 reads that
+//! order only through the minimum spanning forest, and a vertex pair's
+//! first clock to ring fixes its place there: every later parallel edge
+//! closes a cycle. [`pair_priorities`] therefore draws the same m clocks
+//! but ranks only the p vertex pairs of [`Graph::collapsed`], each by its
+//! least clock — an O(m) fold and an O(p log p) sort instead of an
+//! O(m log m) sort. On the collapsed graph, the pair ranks give the same
+//! forest in the same order, so Algorithm 3 finds the same cut and side.
 
-use cut_graph::Graph;
+use cut_graph::{Edge, Graph};
 use rand::Rng;
 
 /// Draw contraction priorities for every edge of `g`: unique ranks
 /// `1..=m`, ordered by exponential clocks with rate = edge weight.
 pub fn exponential_priorities(g: &Graph, rng: &mut impl Rng) -> Vec<u64> {
-    let m = g.m();
-    let mut clock: Vec<(f64, u32)> = g
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            // Inverse-CDF sampling; guard the log away from 0.
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            (-u.ln() / e.w as f64, i as u32)
-        })
-        .collect();
-    // Clocks are positive and finite, so `total_cmp` is their numeric
-    // order; the index makes every key unique, so an unstable sort yields
-    // the same ranks as a stable one.
-    clock.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut prio = vec![0u64; m];
-    for (rank, &(_, e)) in clock.iter().enumerate() {
-        prio[e as usize] = rank as u64 + 1;
+    ranks(clocks(g, rng).enumerate().map(|(e, clock)| ((clock, e as u32), e as u32)).collect())
+}
+
+/// Contraction priorities for the vertex pairs of `g`: `g.collapsed()`
+/// and a unique rank `1..=p` per pair. The clocks are those
+/// [`exponential_priorities`] draws from the same `rng`, and pair `a`
+/// ranks before pair `b` iff `a`'s least per-edge rank there is smaller
+/// than `b`'s.
+pub fn pair_priorities(g: &Graph, rng: &mut impl Rng) -> (Graph, Vec<u64>) {
+    let clock: Vec<u64> = clocks(g, rng).collect();
+    let key = |e: u32| (clock[e as usize], e);
+    // Each pair with its summed weight and its least-key edge.
+    let mut pairs: Vec<(Edge, u32)> = Vec::new();
+    g.fold_pairs(|pair, u, v, e| {
+        let w = g.edge(e as usize).w;
+        match pairs.get_mut(pair) {
+            Some((merged, least)) => {
+                merged.w += w;
+                if key(e) < key(*least) {
+                    *least = e;
+                }
+            }
+            None => pairs.push((Edge::new(u, v, w), e)),
+        }
+    });
+    // `collapsed()`'s edge order.
+    for row in pairs.chunk_by_mut(|a, b| a.0.u == b.0.u) {
+        row.sort_unstable_by_key(|(merged, _)| merged.v);
     }
-    prio
+    let prio = ranks(pairs.iter().enumerate().map(|(i, &(_, e))| (key(e), i as u32)).collect());
+    (Graph::new_unchecked(g.n(), pairs.into_iter().map(|(merged, _)| merged).collect()), prio)
+}
+
+/// One exponential clock per edge of `g`, in edge order, as the bit
+/// pattern of the `f64`. The clocks are positive and finite, and such
+/// values order like their bit patterns.
+fn clocks<'a>(g: &'a Graph, rng: &'a mut impl Rng) -> impl Iterator<Item = u64> + 'a {
+    g.edges().iter().map(|e| {
+        // Inverse-CDF sampling; guard the log away from 0.
+        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        (-u.ln() / e.w as f64).to_bits()
+    })
+}
+
+/// The rank `1..=len` of each slot, by ascending key: `keyed` holds one
+/// `(key, slot)` per slot. Keys end in an edge index, so they are unique
+/// and an unstable sort yields the same ranks as a stable one.
+fn ranks(mut keyed: Vec<((u64, u32), u32)>) -> Vec<u64> {
+    keyed.sort_unstable_by_key(|&(key, _)| key);
+    let mut rank = vec![0u64; keyed.len()];
+    for (r, &(_, slot)) in keyed.iter().enumerate() {
+        rank[slot as usize] = r as u64 + 1;
+    }
+    rank
 }
 
 #[cfg(test)]
@@ -45,7 +88,7 @@ mod tests {
     use super::*;
     use cut_graph::{gen, Edge, Graph};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn priorities_are_a_permutation() {
@@ -55,6 +98,47 @@ mod tests {
         let mut sorted = p.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (1..=80u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pair_ranks_order_pairs_by_their_least_edge_rank() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        for trial in 0..200 {
+            let n = rng.gen_range(2..=16usize);
+            let base = gen::gnm(n, rng.gen_range(1..=n * (n - 1) / 2), 1..=9, &mut rng);
+            let g = gen::multiplied(&base, [1, 2, 5, 50][trial % 4], 1..=9, &mut rng);
+            let seed = rng.gen();
+            let mut edge_rng = SmallRng::seed_from_u64(seed);
+            let mut pair_rng = SmallRng::seed_from_u64(seed);
+            let per_edge = exponential_priorities(&g, &mut edge_rng);
+            let (pairs, prio) = pair_priorities(&g, &mut pair_rng);
+            assert_eq!(pairs.n(), g.n());
+            assert_eq!(pairs.edges(), g.collapsed().edges(), "trial={trial}");
+            let mut sorted = prio.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (1..=pairs.m() as u64).collect::<Vec<_>>(), "trial={trial}");
+            // Each pair's least per-edge rank, in collapsed edge order.
+            let least: Vec<u64> = pairs
+                .edges()
+                .iter()
+                .map(|p| {
+                    g.edges()
+                        .iter()
+                        .zip(&per_edge)
+                        .filter(|(e, _)| (e.u.min(e.v), e.u.max(e.v)) == (p.u, p.v))
+                        .map(|(_, &r)| r)
+                        .min()
+                        .expect("every pair has an edge")
+                })
+                .collect();
+            for a in 0..prio.len() {
+                for b in 0..prio.len() {
+                    assert_eq!(prio[a] < prio[b], least[a] < least[b], "trial={trial}");
+                }
+            }
+            // Both drew the same m clocks from the stream.
+            assert_eq!(edge_rng.gen::<u64>(), pair_rng.gen::<u64>(), "trial={trial}");
+        }
     }
 
     #[test]

@@ -23,6 +23,15 @@
 //! every input (tested exhaustively and property-based), and pair folding
 //! leaves the coverage at every time — hence `(weight, leader, time)` —
 //! unchanged (tested against the per-edge [`SingletonEngine::leader_intervals`]).
+//!
+//! Every time the engine compares, clips or decrements is the priority of
+//! a forest edge, and [`min_stabbing_weight`] returns the earliest time
+//! that reaches the minimum, so only the forest edges' relative order
+//! reaches the answer. Run on the collapsed graph under
+//! [`pair_priorities`](crate::priorities::pair_priorities), which gives
+//! the same forest in the same order, the engine returns the same weight,
+//! leader and bag as on the multigraph under per-edge priorities; only
+//! the time is in pair ranks (tested on random multigraphs).
 
 use cut_graph::{kruskal, Graph};
 use cut_tree::lowdepth::low_depth_decomposition;
@@ -318,7 +327,7 @@ pub fn singleton_cut_side(g: &Graph, prio: &[u64], cut: SingletonCut) -> Vec<u32
 mod tests {
     use super::*;
     use crate::contraction::contraction_oracle;
-    use crate::priorities::exponential_priorities;
+    use crate::priorities::{exponential_priorities, pair_priorities};
     use cut_graph::{cut_weight, gen, Edge};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -372,17 +381,31 @@ mod tests {
 
     #[test]
     fn pair_folding_matches_per_edge_reference_on_multigraphs() {
+        // Against the per-edge reference: the engine on the multigraph
+        // under per-edge ranks, and the served composition (pair ranks,
+        // the engine on the collapsed graph, its own bag) from the same
+        // seed. The latter's time is in pair ranks, so it is not compared.
         let mut rng = SmallRng::seed_from_u64(28);
         for trial in 0..400 {
-            let n = rng.gen_range(2..=30);
+            let n = rng.gen_range(2..=40);
             let max_mult = [1, 2, 5, 50][trial % 4];
             let g = random_multigraph(&mut rng, n, max_mult);
-            let prio = exponential_priorities(&g, &mut rng);
+            let seed = rng.gen();
+            let prio = exponential_priorities(&g, &mut SmallRng::seed_from_u64(seed));
             let engine = SingletonEngine::new(&g, &prio);
             let cut = engine.smallest(&g);
             let (expect, expect_side) = per_edge_reference(&g, &prio);
             assert_eq!(cut, expect, "trial={trial} n={n} m={}", g.m());
             assert_eq!(engine.bag(cut.leader, cut.time), expect_side, "trial={trial}");
+            let (pairs, pair_prio) = pair_priorities(&g, &mut SmallRng::seed_from_u64(seed));
+            let engine = SingletonEngine::new(&pairs, &pair_prio);
+            let cut = engine.smallest(&pairs);
+            let side = engine.bag(cut.leader, cut.time);
+            assert_eq!(
+                (cut.weight, side),
+                (expect.weight, expect_side),
+                "trial={trial} seed={seed}"
+            );
         }
     }
 

@@ -7,9 +7,9 @@
 //! cached answer for it.
 //!
 //! Under the cache sits the **index layer** (`cut_index`): each registry
-//! entry carries a [`GraphIndex`] holding a generation-stamped CSR
-//! snapshot (built at most once per mutation, shared by every read in
-//! between), a fully dynamic spanning forest that answers `Connectivity`
+//! entry carries a [`GraphIndex`] holding a CSR snapshot (built at most
+//! once per mutation, shared by every read in between, freed by the next
+//! mutation), a fully dynamic spanning forest that answers `Connectivity`
 //! in O(1) without BFS or rebuilds (deletes and contractions included) and
 //! certifies when the vertex partition last changed, and running
 //! degree/weight summaries. The query cache itself is a real LRU
@@ -30,7 +30,7 @@ use cut_graph::{stoer_wagner, CutResult, Edge, Graph};
 use cut_index::{GraphIndex, IndexStats, KernelRead, LruCache};
 use cut_obs::{Clock, Registry};
 use mincut_core::{
-    approx_min_cut, apx_split, exponential_priorities, KCutOptions, MinCutOptions, SingletonEngine,
+    approx_min_cut, apx_split, pair_priorities, KCutOptions, MinCutOptions, SingletonEngine,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -303,7 +303,7 @@ impl ObsScratch {
 }
 
 /// One registered graph: its mutable edge list, the incremental index
-/// (generation-stamped CSR snapshot, dynamic forest, summaries), the
+/// (CSR snapshot, dynamic forest, summaries), the
 /// mutation epoch, and the per-epoch LRU query cache.
 struct GraphEntry {
     n: usize,
@@ -1016,7 +1016,7 @@ impl std::fmt::Debug for GraphExport {
 }
 
 /// Serve one query against a looked-up entry: LRU/epoch cache first, then
-/// the index layer (dynamic-forest labels for connectivity, stamped CSR
+/// the index layer (dynamic-forest labels for connectivity, the CSR
 /// snapshot for everything else), attributing the work to `stats`.
 fn serve_query(
     stats: &mut EngineStats,
@@ -1126,7 +1126,7 @@ fn certificate_holds(entry: &mut GraphEntry, query: Query, stamp: u64) -> bool {
 }
 
 /// Take the CSR snapshot for a compute arm, recording into `slot` whether
-/// the access built it or reused the stamped build, and charging build
+/// the access built it or reused the current build, and charging build
 /// time to the span's index bucket (reuses read the clock but charge ~0).
 fn track<'g>(
     entry: &'g mut GraphEntry,
@@ -1153,8 +1153,8 @@ fn apply_insert(entry: &mut GraphEntry, u: u32, v: u32, w: u64) -> Result<(), St
         return Err(format!("zero-weight edge ({u}, {v})"));
     }
     entry.edges.push(Edge::new(u, v, w));
-    // The dynamic forest links, the summaries adjust, the snapshot stamp
-    // invalidates.
+    // The dynamic forest links, the summaries adjust, the snapshot is
+    // freed.
     entry.index.note_insert(u, v, w);
     Ok(())
 }
@@ -1281,10 +1281,12 @@ fn compute_query(
                 return Response::CutValue { weight: 0, side_size: 1, cached: false };
             }
             let g = track(entry, csr, obs);
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let prio = exponential_priorities(g, &mut rng);
-            let engine = SingletonEngine::new(g, &prio);
-            let cut = engine.smallest(g);
+            // Algorithm 3 on the collapsed graph under pair ranks: the
+            // same weight and side as under per-edge ranks, without
+            // sorting the m clocks (`mincut_core::priorities`).
+            let (pairs, prio) = pair_priorities(g, &mut SmallRng::seed_from_u64(seed));
+            let engine = SingletonEngine::new(&pairs, &prio);
+            let cut = engine.smallest(&pairs);
             // The realizing side is a bag (super-vertex), not one vertex.
             let side = engine.bag(cut.leader, cut.time);
             Response::CutValue { weight: cut.weight, side_size: side.len(), cached: false }
@@ -1740,7 +1742,7 @@ mod tests {
         assert_eq!(s.builds_by_kind[Query::ExactMinCut.kind_index()], 1);
         assert_eq!(s.reuse_by_kind[Query::StCutWeight { s: 0, t: 5 }.kind_index()], 1);
 
-        // A mutation invalidates the stamp: exactly one more build.
+        // A mutation frees the snapshot: exactly one more build.
         e.execute(Request::Mutate {
             name: "g".into(),
             op: Mutation::InsertEdge { u: 0, v: 5, w: 2 },

@@ -31,8 +31,8 @@
 //! in-process ones.
 //!
 //! Beneath both sits the **index layer** (the `cut_index` crate): every
-//! registry entry keeps a generation-stamped CSR snapshot (one build per
-//! mutation, shared by all reads in between), a fully dynamic spanning
+//! registry entry keeps a CSR snapshot (one build per mutation, shared by
+//! all reads in between), a fully dynamic spanning
 //! forest so `Connectivity` skips BFS and never rebuilds, running
 //! degree/weight summaries, and an LRU query cache. [`EngineStats`]
 //! reports how much work the layer absorbed (builds avoided, certified

@@ -192,34 +192,45 @@ impl Graph {
     /// The simple graph with the same pairwise weights: parallel edges
     /// merged (weights summed), self-loops dropped, edges `(u, v)` with
     /// `u < v` in sorted order — `contract` under the identity labeling,
-    /// but built in one pass over the CSR with an O(n) slot array instead
-    /// of a hash map.
+    /// but built by [`Graph::fold_pairs`] instead of a hash map.
     pub fn collapsed(&self) -> Graph {
-        const NONE: u32 = u32::MAX;
-        // slot[v]: index in `edges` of the pair (u, v) for the current u.
-        let mut slot = vec![NONE; self.n];
         let mut edges: Vec<Edge> = Vec::new();
+        self.fold_pairs(|pair, u, v, e| {
+            let w = self.edges[e as usize].w;
+            match edges.get_mut(pair) {
+                Some(merged) => merged.w += w,
+                None => edges.push(Edge::new(u, v, w)),
+            }
+        });
+        for row in edges.chunk_by_mut(|a, b| a.u == b.u) {
+            row.sort_unstable_by_key(|e| e.v);
+        }
+        Graph::new_unchecked(self.n, edges)
+    }
+
+    /// Fold parallel edges into vertex pairs in one pass over the CSR with
+    /// an O(n) slot array: call `fold(pair, u, v, e)` for every edge `e`
+    /// between `u` and `v > u`, by ascending `u`. `pair` numbers the pairs
+    /// `0, 1, ...` in the order their first edges are met, so a pair's
+    /// first call is the one whose `pair` equals the number of pairs met
+    /// before it.
+    pub fn fold_pairs(&self, mut fold: impl FnMut(usize, u32, u32, u32)) {
+        // slot[v]: the last u that met v, and the number of pair (u, v).
+        let mut slot = vec![(u32::MAX, 0u32); self.n];
+        let mut pairs = 0u32;
         for u in 0..self.n as u32 {
-            let start = edges.len();
             for &(v, e) in self.neighbors(u) {
                 if v <= u {
                     continue;
                 }
-                let w = self.edges[e as usize].w;
-                match slot[v as usize] {
-                    NONE => {
-                        slot[v as usize] = edges.len() as u32;
-                        edges.push(Edge::new(u, v, w));
-                    }
-                    i => edges[i as usize].w += w,
+                let (owner, pair) = &mut slot[v as usize];
+                if *owner != u {
+                    (*owner, *pair) = (u, pairs);
+                    pairs += 1;
                 }
+                fold(*pair as usize, u, v, e);
             }
-            for e in &edges[start..] {
-                slot[e.v as usize] = NONE;
-            }
-            edges[start..].sort_unstable_by_key(|e| e.v);
         }
-        Graph::new_unchecked(self.n, edges)
     }
 
     /// Induced subgraph on `keep` (a set of vertex ids).
@@ -345,6 +356,44 @@ mod tests {
             assert_eq!(c.n(), n);
             assert_eq!(c.edges(), g.contract(&identity).edges());
             assert_eq!(c.total_weight(), g.total_weight());
+        }
+    }
+
+    #[test]
+    fn fold_pairs_numbers_pairs_by_first_edge() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(33);
+        for _ in 0..200 {
+            let n = rng.gen_range(2..14usize);
+            let edges: Vec<Edge> = (0..rng.gen_range(0..60))
+                .map(|_| {
+                    let u = rng.gen_range(0..n as u32);
+                    let v = (u + rng.gen_range(1..n as u32)) % n as u32;
+                    Edge::new(u, v, rng.gen_range(1..=9))
+                })
+                .collect();
+            let g = Graph::new(n, edges);
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            let mut visited = Vec::new();
+            g.fold_pairs(|pair, u, v, e| {
+                if pair == pairs.len() {
+                    pairs.push((u, v));
+                }
+                assert_eq!(pairs[pair], (u, v));
+                let ed = g.edge(e as usize);
+                assert_eq!((ed.u.min(ed.v), ed.u.max(ed.v)), (u, v));
+                visited.push(e);
+            });
+            // Every edge once; pairs distinct, by ascending u.
+            visited.sort_unstable();
+            assert_eq!(visited, (0..g.m() as u32).collect::<Vec<_>>());
+            assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0));
+            let mut sorted = pairs.clone();
+            sorted.sort_unstable();
+            let expect: Vec<(u32, u32)> =
+                g.collapsed().edges().iter().map(|e| (e.u, e.v)).collect();
+            assert_eq!(sorted, expect);
         }
     }
 

@@ -28,35 +28,18 @@ impl MstForest {
 /// edge index, so the forest is unique even with duplicate priorities).
 ///
 /// Only the least `(priority, index)` edge of each vertex pair can join
-/// the forest — every later parallel edge closes a cycle with it — so one
-/// pass over the CSR keeps those and only they are sorted. On a
+/// the forest — every later parallel edge closes a cycle with it — so
+/// [`Graph::fold_pairs`] keeps those and only they are sorted. On a
 /// multigraph that is a sort over distinct pairs, not over edges.
 pub fn kruskal(g: &Graph, prio: &[u64]) -> MstForest {
-    const NONE: u32 = u32::MAX;
     assert_eq!(prio.len(), g.m(), "one priority per edge");
     let key = |e: u32| (prio[e as usize], e);
-    // slot[v]: index in `order` of the best edge (u, v) for the current u.
-    let mut slot = vec![NONE; g.n()];
     let mut order: Vec<u32> = Vec::new();
-    for u in 0..g.n() as u32 {
-        let start = order.len();
-        for &(v, e) in g.neighbors(u) {
-            if v <= u {
-                continue;
-            }
-            match slot[v as usize] {
-                NONE => {
-                    slot[v as usize] = order.len() as u32;
-                    order.push(e);
-                }
-                i if key(e) < key(order[i as usize]) => order[i as usize] = e,
-                _ => {}
-            }
-        }
-        for &e in &order[start..] {
-            slot[g.edge(e as usize).other(u) as usize] = NONE;
-        }
-    }
+    g.fold_pairs(|pair, _, _, e| match order.get_mut(pair) {
+        Some(least) if key(e) < key(*least) => *least = e,
+        Some(_) => {}
+        None => order.push(e),
+    });
     order.sort_unstable_by_key(|&e| key(e));
     let mut dsu = Dsu::new(g.n());
     let mut edges = Vec::with_capacity(g.n().saturating_sub(1));

@@ -1,5 +1,6 @@
-//! The per-graph incremental index: generation-stamped CSR snapshots,
-//! fully dynamic connectivity, and running degree/weight summaries.
+//! The per-graph incremental index: a CSR snapshot kept until the next
+//! mutation, fully dynamic connectivity, and running degree/weight
+//! summaries.
 
 use crate::dynconn::DynConn;
 use crate::kernel::{Kernel, KernelRead, MAX_PENDING_PATCH};
@@ -13,7 +14,7 @@ use cut_graph::{Dsu, Edge, Graph};
 pub struct IndexStats {
     /// CSR snapshots built from the edge list.
     pub csr_builds: u64,
-    /// Snapshot requests served by an already-stamped build (builds avoided).
+    /// Snapshot requests served by the current build (builds avoided).
     pub csr_reuses: u64,
     /// Entries evicted from LRU query caches.
     pub lru_evictions: u64,
@@ -84,7 +85,7 @@ impl IndexStats {
         }
     }
 
-    /// Fraction of snapshot requests that reused a stamped build, in
+    /// Fraction of snapshot requests that reused the current build, in
     /// `[0, 1]` (0 when no snapshot was ever requested).
     pub fn reuse_rate(&self) -> f64 {
         let total = self.csr_builds + self.csr_reuses;
@@ -118,10 +119,10 @@ pub struct GraphSummary {
 /// derived state each notification can maintain cheaply and rebuilds the
 /// rest lazily at the next read. Invariants:
 ///
-/// - **Generations.** Every notification bumps `generation`. The CSR
-///   snapshot is stamped with the generation it was built at and is valid
-///   iff the stamps match — so between two mutations, any number of reads
-///   share one build.
+/// - **Generations.** Every notification bumps `generation` and frees
+///   the CSR snapshot, so a snapshot present is current: between two
+///   mutations, any number of reads share one build, and a stale build
+///   never outlives the mutation that made it stale.
 /// - **Dynamic forest.** A [`DynConn`] level structure is maintained
 ///   through every notification in amortized polylog time, so
 ///   [`components_live`](GraphIndex::components_live) /
@@ -136,11 +137,9 @@ pub struct GraphSummary {
 pub struct GraphIndex {
     /// Bumped by every noted mutation.
     generation: u64,
-    /// Lazily built CSR view of the owner's edge list.
+    /// Lazily built CSR view of the owner's edge list; `None` from every
+    /// mutation until the next read.
     snapshot: Option<Graph>,
-    /// Generation the snapshot was built at; valid iff equal to
-    /// `generation`.
-    snapshot_generation: u64,
     /// Always-maintained dynamic connectivity (never rebuilt on read).
     dynconn: DynConn,
     /// The generation at (or before) which the vertex partition last
@@ -167,7 +166,6 @@ impl GraphIndex {
         let mut index = Self {
             generation: 0,
             snapshot: None,
-            snapshot_generation: 0,
             dynconn: DynConn::new(0, &[]),
             partition_generation: 0,
             degrees: Vec::new(),
@@ -189,7 +187,6 @@ impl GraphIndex {
     pub fn with_generation(n: usize, edges: &[Edge], generation: u64) -> Self {
         let mut index = Self::new(n, edges);
         index.generation = generation;
-        index.snapshot_generation = generation;
         // Conservative: the restored index cannot know when the partition
         // last changed in the previous process, so it claims "now" —
         // certificate checks then deny carries rather than risk staleness.
@@ -202,15 +199,16 @@ impl GraphIndex {
         self.generation
     }
 
-    /// True when the stamped snapshot matches the current generation (the
-    /// next [`snapshot`](GraphIndex::snapshot) call will not build).
+    /// True when a snapshot was built since the last mutation (the next
+    /// [`snapshot`](GraphIndex::snapshot) call will not build).
     pub fn snapshot_is_fresh(&self) -> bool {
-        self.snapshot.is_some() && self.snapshot_generation == self.generation
+        self.snapshot.is_some()
     }
 
     /// An edge `(u, v, w)` was appended to the owner's edge list.
     pub fn note_insert(&mut self, u: u32, v: u32, w: u64) {
         self.generation += 1;
+        self.snapshot = None;
         // The cached kernel may be patchable across inserts (degrees only
         // grow, so the stage-1 fixpoint survives) — defer the edge and let
         // the next kernel read decide. Past the patch budget, a rebuild is
@@ -235,6 +233,7 @@ impl GraphIndex {
     /// An edge `(u, v, w)` was removed from the owner's edge list.
     pub fn note_delete(&mut self, u: u32, v: u32, w: u64) {
         self.generation += 1;
+        self.snapshot = None;
         // A delete can resurrect reduction preconditions retroactively
         // (e.g. un-justify a heavy contraction); no patch rule is sound,
         // so the kernel invalidates outright.
@@ -256,6 +255,7 @@ impl GraphIndex {
     /// and merges parallel edges): re-derive everything from the new state.
     pub fn rebuild_for(&mut self, n: usize, edges: &[Edge]) {
         self.generation += 1;
+        self.snapshot = None;
         self.refresh(n, edges);
     }
 
@@ -323,18 +323,13 @@ impl GraphIndex {
     }
 
     /// The CSR view of `(n, edges)` at the current generation, building it
-    /// if the stamp is stale. Returns `(graph, built)` where `built` is
-    /// true iff this call did the O(n + m) construction — every other read
-    /// between two mutations reuses the stamped build.
+    /// if a mutation freed the last one. Returns `(graph, built)` where
+    /// `built` is true iff this call did the O(n + m) construction — every
+    /// other read between two mutations reuses the same build.
     pub fn snapshot(&mut self, n: usize, edges: &[Edge]) -> (&Graph, bool) {
-        let built = if self.snapshot_is_fresh() {
-            false
-        } else {
-            self.snapshot = Some(Graph::new_unchecked(n, edges.to_vec()));
-            self.snapshot_generation = self.generation;
-            true
-        };
-        (self.snapshot.as_ref().expect("snapshot just ensured"), built)
+        let built = self.snapshot.is_none();
+        let graph = self.snapshot.get_or_insert_with(|| Graph::new_unchecked(n, edges.to_vec()));
+        (graph, built)
     }
 
     /// Connected-component count from the dynamic forest: O(1), never
@@ -435,11 +430,18 @@ mod tests {
 
         edges.push(Edge::new(0, 4, 9));
         idx.note_insert(0, 4, 9);
-        assert!(!idx.snapshot_is_fresh(), "mutation invalidates the stamp");
+        assert!(!idx.snapshot_is_fresh(), "an insert frees the snapshot");
         let (g, built) = idx.snapshot(5, &edges);
         assert!(built);
         assert_eq!(g.m(), 5);
         assert!(!idx.snapshot(5, &edges).1);
+
+        let e = edges.remove(0);
+        idx.note_delete(e.u, e.v, e.w);
+        assert!(!idx.snapshot_is_fresh(), "a delete frees the snapshot");
+        let (g, built) = idx.snapshot(5, &edges);
+        assert!(built);
+        assert_eq!(g.m(), 4);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! starts; this crate owns the state that amortizes that cost away:
 //!
 //! - [`GraphIndex`] — one per registered graph:
-//!   - a **generation-stamped CSR snapshot**: the adjacency structure is
-//!     built at most once per mutation generation, and every read between
-//!     two mutations shares the same build;
+//!   - a **CSR snapshot**: the adjacency structure is built at most once
+//!     per mutation, every read between two mutations shares the same
+//!     build, and the next mutation frees it;
 //!   - **fully dynamic connectivity** ([`DynConn`], a Holm–de
 //!     Lichtenberg–Thorup-style level structure): inserts *and* deletes
 //!     are absorbed in amortized polylog time, so
