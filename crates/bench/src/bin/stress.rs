@@ -35,13 +35,12 @@
 //! loopback gate), at any connection count for workloads without
 //! `list`/`stats` broadcasts, which the generator never emits. `--shards` and `--cache-entries` are *server*
 //! properties under a network split: pass them to `cut-server`, not to a
-//! `--remote` stress run. `--kernel` is in-process only: `cut-server` has
-//! no such flag, and `--remote` rejects it.
+//! `--remote` stress run.
 //!
 //! **Counters** (`docs/OBSERVABILITY.md`): every run finishes with a
 //! `stats metrics` request — outside the digest-logged stream, so the
 //! digest is byte-identical with and without it — and prints its cache,
-//! index, cut-gate, kernel and durability lines from that `cut-metrics/1`
+//! index, cut-gate and durability lines from that `cut-metrics/1`
 //! snapshot; under `--remote` the snapshot is the server's.
 //! `--metrics-out PATH` writes the same snapshot as JSON, and
 //! `--metrics-text PATH` in Prometheus text exposition.
@@ -60,7 +59,7 @@
 //! Flags: `--ops N` `--seed S` `--graphs G` `--initial-n N` `--zipf Z`
 //! `--mix default|read-only|write-heavy` `--shards N`
 //! `--phases single|bursty|diurnal|flash|write-storm|whale`
-//! `--trace-out PATH` `--trace-in PATH` `--cache-entries N` `--kernel`
+//! `--trace-out PATH` `--trace-in PATH` `--cache-entries N`
 //! `--dump-log PATH` `--remote ADDR` `--connections N`
 //! `--metrics-out PATH` `--metrics-text PATH`. See
 //! `docs/WORKLOADS.md` for the workload model, `docs/SHARDING.md` for
@@ -125,7 +124,6 @@ struct Args {
     snapshot_every: Option<u64>,
     resident_cap: usize,
     fsync: bool,
-    kernel: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -151,7 +149,6 @@ fn parse_args() -> Result<Args, String> {
         snapshot_every: None,
         resident_cap: 0,
         fsync: false,
-        kernel: false,
     };
     let mut connections_given = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -210,13 +207,12 @@ fn parse_args() -> Result<Args, String> {
                     value(&mut i)?.parse().map_err(|e| format!("--resident-cap: {e}"))?
             }
             "--fsync" => args.fsync = true,
-            "--kernel" => args.kernel = true,
             "--help" | "-h" => {
                 println!(
                     "stress --ops N --seed S [--graphs G] [--initial-n N] [--zipf Z] \
                      [--mix default|read-only|write-heavy] [--shards N] \
                      [--phases single|bursty|diurnal|flash|write-storm|whale] \
-                     [--trace-out PATH] [--trace-in PATH] [--cache-entries N] [--kernel] \
+                     [--trace-out PATH] [--trace-in PATH] [--cache-entries N] \
                      [--dump-log PATH] [--remote ADDR [--connections N]] \
                      [--metrics-out PATH] [--metrics-text PATH] \
                      [--data-dir PATH [--snapshot-every N] \
@@ -290,11 +286,6 @@ fn parse_args() -> Result<Args, String> {
                  the cut-server command line, not here"
                 .into());
         }
-        if args.kernel {
-            return Err("--remote drives a cut-server: --kernel is in-process only \
-                 (cut-server has no such flag)"
-                .into());
-        }
     }
     Ok(args)
 }
@@ -329,7 +320,7 @@ fn build_workload(args: &Args) -> Result<Workload, String> {
         zipf_exponent: args.zipf,
         mix: args.mix,
         // The whale preset's huge sparse g000: ~10× the default graph
-        // size, the shape the kernel's reductions are built to shrink.
+        // size.
         whale_n: if args.phases == "whale" { 480 } else { 0 },
         ..WorkloadConfig::default()
     };
@@ -359,13 +350,13 @@ fn main() {
     // (the trace does) — print only what is actually in effect.
     if let Some(path) = &args.trace_in {
         println!(
-            "cut-engine stress: trace={path} shards={} cache-entries={} kernel={}",
-            args.shards, args.cache_entries, args.kernel
+            "cut-engine stress: trace={path} shards={} cache-entries={}",
+            args.shards, args.cache_entries
         );
     } else {
         println!(
             "cut-engine stress: ops={} seed={} graphs={} initial-n={} zipf={} mix={} shards={} \
-             phases={} cache-entries={} kernel={}",
+             phases={} cache-entries={}",
             args.ops,
             args.seed,
             args.graphs,
@@ -375,7 +366,6 @@ fn main() {
             args.shards,
             args.phases,
             args.cache_entries,
-            args.kernel
         );
     }
 
@@ -417,7 +407,6 @@ fn main() {
     let engine_cfg = EngineConfig {
         max_cache_entries: args.cache_entries,
         resident_cap: args.resident_cap,
-        kernel: args.kernel,
         ..EngineConfig::default()
     };
     let report = if let Some(addr) = &args.remote {
@@ -474,14 +463,13 @@ fn write_output(path: Option<&String>, what: &str, contents: impl FnOnce() -> St
 /// never disagree. Under `--remote` they are the server's counters.
 fn print_counters(m: &Registry) {
     let c = |name: &str| m.counter(name);
-    let ratio = |part: u64, whole: u64| {
+    let pct = |part: u64, whole: u64| {
         if whole == 0 {
             0.0
         } else {
-            part as f64 / whole as f64
+            part as f64 / whole as f64 * 100.0
         }
     };
-    let pct = |part: u64, whole: u64| ratio(part, whole) * 100.0;
     println!(
         "cache: {} hits / {} misses over {} queries  (hit rate {:.1}%, {} lru evictions)",
         c("engine_cache_hits"),
@@ -502,27 +490,6 @@ fn print_counters(m: &Registry) {
         c("engine_cut_recomputes"),
         c("engine_cut_certified_skips"),
     );
-    let rules: u64 = ["deg1", "deg2", "heavy"]
-        .iter()
-        .map(|rule| c(&format!("engine_kernel_rules_{rule}")))
-        .sum();
-    let (serves, fallbacks) = (c("engine_kernel_cut_serves"), c("engine_kernel_cut_fallbacks"));
-    if rules + serves + fallbacks > 0 {
-        let (k_in, k_out) = (c("engine_kernel_in_vertices"), c("engine_kernel_out_vertices"));
-        println!(
-            "kernel: builds={} reuses={} patches={} rules(deg1={} deg2={} heavy={}) \
-             vertex-ratio={:.3}",
-            c("engine_kernel_builds"),
-            c("engine_kernel_reuses"),
-            c("engine_kernel_patches"),
-            c("engine_kernel_rules_deg1"),
-            c("engine_kernel_rules_deg2"),
-            c("engine_kernel_rules_heavy"),
-            ratio(k_out, k_in),
-        );
-        println!("kernel cuts: serves={serves} fallbacks={fallbacks}");
-    }
-
     let per_kind: Vec<(&str, u64, u64)> = QUERY_KINDS
         .iter()
         .map(|kind| {

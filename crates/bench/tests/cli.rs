@@ -20,14 +20,9 @@ fn assert_usage_error(args: &[&str], needle: &str) {
 }
 
 #[test]
-fn remote_rejects_in_process_only_engine_flags() {
+fn remote_sends_server_flags_to_cut_server() {
     // Nothing listens on port 1: the run must fail on its flags, not on
     // the connection.
-    assert_usage_error(&["--remote", "127.0.0.1:1", "--kernel"], "in-process only");
-}
-
-#[test]
-fn remote_sends_server_flags_to_cut_server() {
     for flags in [&["--shards", "2"][..], &["--cache-entries", "64"]] {
         let mut args = vec!["--remote", "127.0.0.1:1"];
         args.extend_from_slice(flags);
@@ -39,7 +34,9 @@ fn remote_sends_server_flags_to_cut_server() {
 fn removed_flags_are_unknown() {
     // Flags the binary no longer has fail through the generic
     // unknown-flag path.
-    for flag in ["--rebalance", "--no-dynconn", "--kernel-threshold", "--arrival", "--json-out"] {
+    for flag in
+        ["--rebalance", "--no-dynconn", "--kernel-threshold", "--arrival", "--json-out", "--kernel"]
+    {
         assert_usage_error(&[flag], "unknown flag");
     }
 }

@@ -11,9 +11,8 @@
 //! once per mutation, shared by every read in between, freed by the next
 //! mutation), a fully dynamic spanning forest that answers `Connectivity`
 //! in O(1) without BFS or rebuilds (deletes and contractions included) and
-//! certifies when the vertex partition last changed, and running
-//! degree/weight summaries. The query cache itself is a real LRU
-//! ([`cut_index::LruCache`]) bounded by
+//! certifies when the vertex partition last changed. The query cache
+//! itself is a real LRU ([`cut_index::LruCache`]) bounded by
 //! [`EngineConfig::max_cache_entries`].
 //!
 //! Everything is deterministic: queries that involve randomness carry
@@ -27,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use cut_graph::{stoer_wagner, CutResult, Edge, Graph};
-use cut_index::{GraphIndex, IndexStats, KernelRead, LruCache};
+use cut_index::{GraphIndex, IndexStats, LruCache};
 use cut_obs::{Clock, Registry};
 use mincut_core::{
     approx_min_cut, apx_split, pair_priorities, KCutOptions, MinCutOptions, SingletonEngine,
@@ -61,13 +60,6 @@ pub struct EngineConfig {
     /// faulted back on access. `0` = unlimited
     /// (no spilling). Ignored without a store.
     pub resident_cap: usize,
-    /// Run the exact reduction kernel (`cut_index::kernel`) in front of
-    /// global and s-t cut queries: disconnected exact/approx answers are
-    /// served from the kernel's component summary without a CSR, and s-t
-    /// weights from the stage-1 kernel when both endpoints resolve.
-    /// Responses are byte-identical either way (CI `cmp`-gates this at
-    /// shards {1, 4}); only the work counters move. Default off.
-    pub kernel: bool,
 }
 
 impl Default for EngineConfig {
@@ -79,7 +71,6 @@ impl Default for EngineConfig {
             exact_below: 48,
             max_cache_entries: 4096,
             resident_cap: 0,
-            kernel: false,
         }
     }
 }
@@ -104,8 +95,8 @@ pub struct EngineStats {
     pub graphs_created: u64,
     /// Graphs dropped.
     pub graphs_dropped: u64,
-    /// Index-layer counters (CSR builds/reuses, LRU evictions, kernel
-    /// work), aggregated across all graphs ever registered.
+    /// Index-layer counters (CSR builds/reuses, LRU evictions),
+    /// aggregated across all graphs ever registered.
     pub index: IndexStats,
     /// CSR snapshot builds per query kind (indexed by
     /// [`Query::kind_index`]).
@@ -123,13 +114,6 @@ pub struct EngineStats {
     /// could have changed it. Counted *alongside* `cache_misses` — the
     /// carry mimics a recompute byte-for-byte, it just skips the work.
     pub cut_certified_skips: u64,
-    /// Cut queries answered straight from the reduction kernel (component
-    /// summary for disconnected exact/approx, stage-1 resolution for s-t)
-    /// — byte-identical to the full computation, minus the work.
-    pub kernel_cut_serves: u64,
-    /// Kernel-eligible s-t queries whose endpoints did not resolve (a
-    /// deg-2 smoothing dissolved them), falling back to the full graph.
-    pub kernel_cut_fallbacks: u64,
 }
 
 impl EngineStats {
@@ -158,8 +142,6 @@ impl EngineStats {
             reuse_by_kind,
             cut_recomputes,
             cut_certified_skips,
-            kernel_cut_serves,
-            kernel_cut_fallbacks,
         } = *other;
         self.queries += queries;
         self.cache_hits += cache_hits;
@@ -176,8 +158,6 @@ impl EngineStats {
         }
         self.cut_recomputes += cut_recomputes;
         self.cut_certified_skips += cut_certified_skips;
-        self.kernel_cut_serves += kernel_cut_serves;
-        self.kernel_cut_fallbacks += kernel_cut_fallbacks;
     }
 
     /// Export every counter onto a telemetry [`Registry`] under the
@@ -199,8 +179,6 @@ impl EngineStats {
             reuse_by_kind,
             cut_recomputes,
             cut_certified_skips,
-            kernel_cut_serves,
-            kernel_cut_fallbacks,
         } = *self;
         reg.inc("engine_queries", queries);
         reg.inc("engine_cache_hits", cache_hits);
@@ -219,16 +197,6 @@ impl EngineStats {
         }
         reg.inc("engine_cut_recomputes", cut_recomputes);
         reg.inc("engine_cut_certified_skips", cut_certified_skips);
-        reg.inc("engine_kernel_builds", index.kernel_builds);
-        reg.inc("engine_kernel_reuses", index.kernel_reuses);
-        reg.inc("engine_kernel_patches", index.kernel_patches);
-        reg.inc("engine_kernel_rules_deg1", index.kernel_rules_deg1);
-        reg.inc("engine_kernel_rules_deg2", index.kernel_rules_deg2);
-        reg.inc("engine_kernel_rules_heavy", index.kernel_rules_heavy);
-        reg.inc("engine_kernel_in_vertices", index.kernel_in_vertices);
-        reg.inc("engine_kernel_out_vertices", index.kernel_out_vertices);
-        reg.inc("engine_kernel_cut_serves", kernel_cut_serves);
-        reg.inc("engine_kernel_cut_fallbacks", kernel_cut_fallbacks);
     }
 }
 
@@ -303,12 +271,12 @@ impl ObsScratch {
 }
 
 /// One registered graph: its mutable edge list, the incremental index
-/// (CSR snapshot, dynamic forest, summaries), the
-/// mutation epoch, and the per-epoch LRU query cache.
+/// (CSR snapshot, dynamic forest), the mutation epoch, and the per-epoch
+/// LRU query cache.
 struct GraphEntry {
     n: usize,
     edges: Vec<Edge>,
-    /// The index layer: CSR snapshot, dynamic forest, running summaries.
+    /// The index layer: CSR snapshot and dynamic forest.
     /// Its generation advances in lockstep with `epoch` (one bump per
     /// successful mutation).
     index: GraphIndex,
@@ -502,13 +470,6 @@ impl Engine {
             }
             g.clone()
         })
-    }
-
-    /// The index layer's running summaries for a graph — O(1) structural
-    /// facts (edge count, total weight, max weighted degree) that stay
-    /// current across mutations without any CSR or edge scan.
-    pub fn summary(&self, name: &str) -> Option<cut_index::GraphSummary> {
-        self.graphs.get(name).map(|e| e.index.summary())
     }
 
     /// Execute one request. Never panics on bad input: failures come back
@@ -762,7 +723,7 @@ impl Engine {
     /// Detach a graph from this engine's registry for installation into
     /// another engine, or for serialization with [`GraphExport::to_trace`]
     /// (the snapshot codec). The entire entry moves wholesale: edge list,
-    /// index (CSR snapshot, dynamic forest, summaries), mutation epoch, and
+    /// index (CSR snapshot, dynamic forest), mutation epoch, and
     /// the warmed LRU query cache, so the receiving engine answers exactly
     /// as this one would have. Returns `None` for unknown names.
     ///
@@ -1066,9 +1027,9 @@ fn serve_query(
 
     // `csr` reports exactly what the compute arms did with the snapshot:
     // None = never touched (connectivity, errors, the edgeless
-    // singleton-cut summary path), Some(built) otherwise.
+    // singleton-cut path), Some(built) otherwise.
     let mut csr: Option<bool> = None;
-    let answer = compute_query(entry, cfg, stats, query, &mut csr, obs);
+    let answer = compute_query(entry, cfg, query, &mut csr, obs);
     if query.is_certificate_gated() && !matches!(answer, Response::Error { .. }) {
         stats.cut_recomputes += 1;
     }
@@ -1153,9 +1114,8 @@ fn apply_insert(entry: &mut GraphEntry, u: u32, v: u32, w: u64) -> Result<(), St
         return Err(format!("zero-weight edge ({u}, {v})"));
     }
     entry.edges.push(Edge::new(u, v, w));
-    // The dynamic forest links, the summaries adjust, the snapshot is
-    // freed.
-    entry.index.note_insert(u, v, w);
+    // The dynamic forest links, the snapshot is freed.
+    entry.index.note_insert(u, v);
     Ok(())
 }
 
@@ -1166,7 +1126,7 @@ fn apply_delete(entry: &mut GraphEntry, u: u32, v: u32) -> Result<(), String> {
             let e = entry.edges.remove(i);
             // The dynamic forest searches for a replacement edge, so the
             // next connectivity read needs no rebuild.
-            entry.index.note_delete(e.u, e.v, e.w);
+            entry.index.note_delete(e.u, e.v);
             Ok(())
         }
         None => Err(format!("no edge ({u}, {v}) to delete")),
@@ -1197,7 +1157,7 @@ fn apply_contract(entry: &mut GraphEntry, u: u32, v: u32) -> Result<(), String> 
     entry.n -= 1;
     entry.edges = merged.into_iter().map(|((a, b), w)| Edge::new(a, b, w)).collect();
     // Contraction relabels vertices and merges edges wholesale: re-derive
-    // the dynamic forest and summaries from the new state.
+    // the dynamic forest from the new state.
     entry.index.rebuild_for(entry.n, &entry.edges);
     Ok(())
 }
@@ -1205,7 +1165,6 @@ fn apply_contract(entry: &mut GraphEntry, u: u32, v: u32) -> Result<(), String> 
 fn compute_query(
     entry: &mut GraphEntry,
     cfg: &EngineConfig,
-    stats: &mut EngineStats,
     query: Query,
     csr: &mut Option<bool>,
     obs: &mut ObsScratch,
@@ -1221,20 +1180,6 @@ fn compute_query(
         Query::ExactMinCut => {
             if n < 2 {
                 return Response::Error { message: "min cut needs n >= 2".into() };
-            }
-            if cfg.kernel {
-                let facts = kernel_probe(entry, stats);
-                if facts.components > 1 {
-                    // The kernel's component summary *is* the
-                    // disconnected answer (weight 0, side = vertex 0's
-                    // component) — no CSR, no scan.
-                    stats.kernel_cut_serves += 1;
-                    return Response::CutValue {
-                        weight: 0,
-                        side_size: facts.component0_size,
-                        cached: false,
-                    };
-                }
             }
             let g = track(entry, csr, obs);
             match disconnected_cut(g) {
@@ -1252,19 +1197,6 @@ fn compute_query(
                 repetitions: cfg.repetitions,
                 seed,
             };
-            if cfg.kernel {
-                let facts = kernel_probe(entry, stats);
-                if facts.components > 1 {
-                    stats.kernel_cut_serves += 1;
-                    return Response::CutValue {
-                        weight: 0,
-                        side_size: facts.component0_size,
-                        cached: false,
-                    };
-                }
-                let g = track(entry, csr, obs);
-                return cut_response(&approx_min_cut(g, &opts));
-            }
             let g = track(entry, csr, obs);
             if let Some(cut) = disconnected_cut(g) {
                 return cut_response(&cut);
@@ -1275,9 +1207,9 @@ fn compute_query(
             if n < 2 {
                 return Response::Error { message: "singleton cut needs n >= 2".into() };
             }
-            if entry.index.m() == 0 {
-                // Every singleton cut of an edgeless graph weighs 0 — the
-                // running edge count answers in O(1), no CSR.
+            if entry.edges.is_empty() {
+                // Every singleton cut of an edgeless graph weighs 0: no
+                // CSR needed.
                 return Response::CutValue { weight: 0, side_size: 1, cached: false };
             }
             let g = track(entry, csr, obs);
@@ -1314,65 +1246,11 @@ fn compute_query(
             if s == t {
                 return Response::Error { message: "st-cut needs s != t".into() };
             }
-            if cfg.kernel {
-                let resolved = {
-                    let (kernel, read) = entry.index.kernel(entry.n, &entry.edges);
-                    fold_kernel_read(stats, read);
-                    // Exact when both endpoints resolve through stage-1
-                    // chains: max-flow runs on the reduced graph (or not
-                    // at all, for same-host pendant pairs).
-                    kernel.st_cut_weight(s, t)
-                };
-                match resolved {
-                    Some(weight) => {
-                        stats.kernel_cut_serves += 1;
-                        return Response::CutValue { weight, side_size: 0, cached: false };
-                    }
-                    None => stats.kernel_cut_fallbacks += 1,
-                }
-            }
             let g = track(entry, csr, obs);
             let weight = cut_graph::maxflow::min_st_cut(g, s, t);
             Response::CutValue { weight, side_size: 0, cached: false }
         }
     }
-}
-
-/// Serving facts copied out of the (freshly built, patched, or reused)
-/// kernel so the borrow on the entry's index can end before `track`.
-struct KernelFacts {
-    components: usize,
-    component0_size: usize,
-}
-
-fn kernel_probe(entry: &mut GraphEntry, stats: &mut EngineStats) -> KernelFacts {
-    let (kernel, read) = entry.index.kernel(entry.n, &entry.edges);
-    let facts =
-        KernelFacts { components: kernel.components(), component0_size: kernel.component0_size() };
-    fold_kernel_read(stats, read);
-    facts
-}
-
-fn fold_kernel_read(stats: &mut EngineStats, read: KernelRead) {
-    let delta = match read {
-        KernelRead::Reused => {
-            stats.index.kernel_reuses += 1;
-            return;
-        }
-        KernelRead::Built(delta) => {
-            stats.index.kernel_builds += 1;
-            delta
-        }
-        KernelRead::Patched(delta) => {
-            stats.index.kernel_patches += 1;
-            delta
-        }
-    };
-    stats.index.kernel_rules_deg1 += delta.deg1;
-    stats.index.kernel_rules_deg2 += delta.deg2;
-    stats.index.kernel_rules_heavy += delta.heavy;
-    stats.index.kernel_in_vertices += delta.in_vertices;
-    stats.index.kernel_out_vertices += delta.out_vertices;
 }
 
 /// For disconnected graphs the global min cut is 0 (any one component
@@ -1772,22 +1650,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_tracks_mutations_without_a_csr() {
-        let mut e = Engine::new();
-        create(&mut e, "p", GraphSpec::Edges { n: 4, edges: vec![(0, 1, 3), (1, 2, 5)] });
-        let s = e.summary("p").unwrap();
-        assert_eq!((s.n, s.m, s.total_weight, s.max_weighted_degree), (4, 2, 8, 8));
-        e.execute(Request::Mutate {
-            name: "p".into(),
-            op: Mutation::InsertEdge { u: 2, v: 3, w: 7 },
-        });
-        let s = e.summary("p").unwrap();
-        assert_eq!((s.m, s.total_weight, s.max_weighted_degree), (3, 15, 12));
-        assert_eq!(e.stats().index.csr_builds, 0, "summaries never build the CSR");
-        assert!(e.summary("ghost").is_none());
-    }
-
-    #[test]
     fn export_import_moves_epoch_cache_and_index_wholesale() {
         let mut a = Engine::new();
         create(&mut a, "g", GraphSpec::Cycle { n: 10 });
@@ -1845,160 +1707,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_mode_never_changes_responses() {
-        // The byte-identity contract, at the engine layer: a kernelized
-        // engine and a plain one, fed the same request stream (creates,
-        // patchable inserts, invalidating deletes, every cut query kind,
-        // a disconnected graph for the component-summary serve), must
-        // produce element-wise equal responses — and the kernel path
-        // must actually fire, or the test pins nothing.
-        let mut kernelized =
-            Engine::with_config(EngineConfig { kernel: true, ..EngineConfig::default() });
-        let mut plain = Engine::new();
-
-        let mut requests: Vec<Request> = vec![
-            // Sparse: plenty of deg-1/deg-2 structure for stage 1.
-            Request::Create {
-                name: "link".into(),
-                spec: GraphSpec::ConnectedGnm { n: 32, m: 38, w_min: 1, w_max: 9, seed: 11 },
-            },
-            // Disconnected: exact/approx serve from the component summary.
-            Request::Create {
-                name: "split".into(),
-                spec: GraphSpec::Edges {
-                    n: 6,
-                    edges: vec![(0, 1, 2), (1, 2, 2), (3, 4, 5), (4, 5, 5)],
-                },
-            },
-            // K6: every vertex has degree 5, so all survive stage 1 and
-            // inserts hit the live-endpoint patch path.
-            Request::Create {
-                name: "dense".into(),
-                spec: GraphSpec::Edges {
-                    n: 6,
-                    edges: (0..6u32).flat_map(|i| (i + 1..6).map(move |j| (i, j, 3u64))).collect(),
-                },
-            },
-        ];
-        for round in 0..25u64 {
-            let (s, t) = ((round % 13) as u32, 31 - (round % 11) as u32);
-            requests.push(Request::Query { name: "link".into(), query: Query::ExactMinCut });
-            requests.push(Request::Query {
-                name: "link".into(),
-                query: Query::ApproxMinCut { seed: round },
-            });
-            requests
-                .push(Request::Query { name: "link".into(), query: Query::StCutWeight { s, t } });
-            requests.push(Request::Query {
-                name: "link".into(),
-                query: Query::SingletonCut { seed: round },
-            });
-            requests.push(Request::Query { name: "split".into(), query: Query::ExactMinCut });
-            requests.push(Request::Query {
-                name: "split".into(),
-                query: Query::ApproxMinCut { seed: round },
-            });
-            requests.push(Request::Query {
-                name: "split".into(),
-                query: Query::StCutWeight { s: 0, t: 4 },
-            });
-            requests.push(Request::Query { name: "dense".into(), query: Query::ExactMinCut });
-            if round % 2 == 0 {
-                requests.push(Request::Mutate {
-                    name: "dense".into(),
-                    op: Mutation::InsertEdge {
-                        u: (round % 6) as u32,
-                        v: ((round + 2) % 6) as u32,
-                        w: 1 + round % 4,
-                    },
-                });
-            }
-            let (u, v) = ((round % 32) as u32, ((round * 7 + 3) % 32) as u32);
-            match round % 3 {
-                // Live-endpoint inserts exercise the patch path...
-                0 => requests.push(Request::Mutate {
-                    name: "link".into(),
-                    op: Mutation::InsertEdge { u, v, w: 1 + round % 6 },
-                }),
-                // ...and deleting last round's insert forces rebuilds.
-                1 => {
-                    let (u, v) = (((round - 1) % 32) as u32, (((round - 1) * 7 + 3) % 32) as u32);
-                    requests.push(Request::Mutate {
-                        name: "link".into(),
-                        op: Mutation::DeleteEdge { u, v },
-                    });
-                }
-                _ => {}
-            }
-        }
-        for req in requests {
-            assert_eq!(kernelized.execute(req.clone()), plain.execute(req));
-        }
-        let stats = kernelized.stats();
-        assert!(stats.kernel_cut_serves > 0, "kernel path never served");
-        assert!(stats.kernel_cut_fallbacks > 0, "fallback path never exercised");
-        assert!(stats.index.kernel_builds > 0, "kernel never built");
-        assert!(stats.index.kernel_patches > 0, "insert stream never patched");
-        assert_eq!(plain.stats().kernel_cut_serves, 0, "plain engine must not kernelize");
-    }
-
-    #[test]
     fn snapshot_with_a_huge_edge_count_is_an_error() {
         // The edge count heads the edge lines; a trace that claims far more
         // than it holds must fail on the missing lines, not abort reserving
         // room for them.
         let trace = "graph g 3 0\nedges 1099511627776\n0 1 1\n";
         assert!(GraphExport::from_trace(trace, 16).is_err());
-    }
-
-    #[test]
-    fn export_roundtrip_rebuilds_kernel_cleanly() {
-        // The kernel is a derived cache: it must not serialize with the
-        // graph. A populated kernel cache at export time leaves the trace
-        // grammar untouched, and the importing engine rebuilds its own
-        // kernel from the moved edge list.
-        let cfg = EngineConfig { kernel: true, ..EngineConfig::default() };
-        let spec = GraphSpec::ConnectedGnm { n: 24, m: 29, w_min: 1, w_max: 7, seed: 5 };
-        let mut a = Engine::with_config(cfg.clone());
-        create(&mut a, "g", spec.clone());
-        let warmed = query(&mut a, "g", Query::ExactMinCut);
-        query(&mut a, "g", Query::StCutWeight { s: 1, t: 17 });
-        assert!(a.stats().index.kernel_builds >= 1, "kernel cache must be warm before export");
-
-        let trace = a.export_graph("g").expect("registered").to_trace();
-        for line in trace.lines() {
-            let head = line.split_whitespace().next().unwrap_or("");
-            assert!(
-                matches!(head, "graph" | "edges" | "cache" | "end")
-                    || head.chars().next().is_some_and(|c| c.is_ascii_digit()),
-                "unexpected trace section {head:?}: the kernel must not serialize"
-            );
-        }
-
-        let mut b = Engine::with_config(cfg);
-        b.import_graph(GraphExport::from_trace(&trace, 4096).expect("well-formed trace"))
-            .expect("no collision");
-
-        // An unkernelized oracle replays the same history from scratch.
-        let mut oracle = Engine::new();
-        create(&mut oracle, "g", spec);
-        assert_eq!(query(&mut oracle, "g", Query::ExactMinCut), warmed);
-        for e in [&mut b, &mut oracle] {
-            let r = e.execute(Request::Mutate {
-                name: "g".into(),
-                op: Mutation::InsertEdge { u: 0, v: 9, w: 2 },
-            });
-            assert!(matches!(r, Response::Mutated { .. }), "got {r}");
-        }
-        for q in [
-            Query::ExactMinCut,
-            Query::StCutWeight { s: 1, t: 17 },
-            Query::StCutWeight { s: 0, t: 9 },
-            Query::ApproxMinCut { seed: 3 },
-        ] {
-            assert_eq!(query(&mut b, "g", q), query(&mut oracle, "g", q));
-        }
-        assert!(b.stats().index.kernel_builds >= 1, "import must rebuild the kernel");
     }
 
     #[test]

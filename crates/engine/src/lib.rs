@@ -33,8 +33,8 @@
 //! Beneath both sits the **index layer** (the `cut_index` crate): every
 //! registry entry keeps a CSR snapshot (one build per mutation, shared by
 //! all reads in between), a fully dynamic spanning
-//! forest so `Connectivity` skips BFS and never rebuilds, running
-//! degree/weight summaries, and an LRU query cache. [`EngineStats`]
+//! forest so `Connectivity` skips BFS and never rebuilds, and an LRU
+//! query cache. [`EngineStats`]
 //! reports how much work the layer absorbed (builds avoided, certified
 //! carries, evictions).
 //!
@@ -100,7 +100,7 @@ pub mod store_api;
 pub mod workload;
 
 // The index layer under every registry entry (see the `cut_index` crate).
-pub use cut_index::{GraphSummary, IndexStats, LruCache};
+pub use cut_index::{IndexStats, LruCache};
 // The telemetry layer (see the `cut_obs` crate): the registry both fronts
 // export through `stats metrics`, the span/slow-log machinery behind
 // `stats slowlog`, and the clocks that drive them.

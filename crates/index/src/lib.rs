@@ -15,22 +15,15 @@
 //!     [`GraphIndex::components_live`] answers `Connectivity` in O(1)
 //!     with zero BFS and zero rebuilds, and
 //!     [`GraphIndex::partition_generation`] certifies when the vertex
-//!     partition last changed (the engine's cut-cache gate);
-//!   - **running degree/weight summaries** (per-vertex weighted degrees,
-//!     total weight, edge count) maintained O(1) per edge mutation;
-//!   - a **generation-stamped reduction kernel** ([`Kernel`], exposed
-//!     through [`GraphIndex::kernel`]): Padberg–Rinaldi-style exact
-//!     reductions (degree-one/degree-two elimination, heavy-edge
-//!     contraction against a witnessed bound, component restriction)
-//!     that shrink the graph before any expensive cut, cached across
-//!     reads, patched across live-endpoint inserts, and invalidated by
-//!     everything else.
+//!     partition last changed (the engine's cut-cache gate).
+//!
+//!   The index does no weight arithmetic: an insert or delete tells it
+//!   only which vertex pair changed.
 //! - [`LruCache`] — a real least-recently-used map (doubly-linked order
 //!   over an arena, O(1) get/insert/evict) replacing reset-on-full
 //!   policies; the engine keys it by query value.
 //! - [`IndexStats`] — the observability counters the stress harness
-//!   reports: CSR builds vs. reuses, LRU evictions, kernel builds,
-//!   patches and reductions.
+//!   reports: CSR builds vs. reuses and LRU evictions.
 //!
 //! Everything here is deterministic: no wall clocks, no hash-order
 //! decisions (LRU eviction follows recency order, snapshot builds follow
@@ -58,10 +51,8 @@
 
 pub mod dynconn;
 pub mod index;
-pub mod kernel;
 pub mod lru;
 
 pub use dynconn::DynConn;
-pub use index::{GraphIndex, GraphSummary, IndexStats};
-pub use kernel::{Kernel, KernelDelta, KernelRead};
+pub use index::{GraphIndex, IndexStats};
 pub use lru::LruCache;

@@ -87,10 +87,9 @@ proptest! {
         dc.assert_consistent();
     }
 
-    /// The GraphIndex live path (which owns a DynConn and also mirrors
-    /// weights/summaries) equals the oracle through insert/delete/contract
-    /// interleavings — contractions exercise the wholesale `rebuild_for`
-    /// reset the engine uses.
+    /// The GraphIndex live path (which owns a DynConn) equals the oracle
+    /// through insert/delete/contract interleavings — contractions
+    /// exercise the wholesale `rebuild_for` reset the engine uses.
     #[test]
     fn graph_index_live_path_matches_oracle(seed in any::<u64>(), start_n in 4usize..24, steps in 1usize..90) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -123,11 +122,11 @@ proptest! {
                 }
                 let w = rng.gen_range(1..16u64);
                 edges.push(Edge::new(u, v, w));
-                idx.note_insert(u, v, w);
+                idx.note_insert(u, v);
             } else {
                 let i = rng.gen_range(0..edges.len());
                 let e = edges.swap_remove(i);
-                idx.note_delete(e.u, e.v, e.w);
+                idx.note_delete(e.u, e.v);
             }
             let pairs: Vec<(u32, u32)> = edges.iter().map(|e| (e.u, e.v)).collect();
             let mut dsu = oracle(n, &pairs);

@@ -10,8 +10,7 @@
 //! engine, not a thread: each connection's requests run on that
 //! connection's thread, so the process runs the main thread, the stdin
 //! watcher and one thread per open connection. A `stress --remote` run
-//! leaves these flags to the server. The stress harness's `--kernel` is
-//! in-process only and has no server flag.
+//! leaves these flags to the server.
 //! Serving-layer flags:
 //! `--addr HOST:PORT`, `--max-conns N`, `--idle-timeout-ms N`, and
 //! `--log PATH` (the deterministic operation log, byte-comparable to an
