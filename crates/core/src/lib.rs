@@ -38,5 +38,5 @@ pub mod singleton;
 pub use contraction::{contract_prefix, contraction_oracle};
 pub use kcut::{apx_split, KCutOptions, KCutResult};
 pub use mincut::{approx_min_cut, MinCutOptions};
-pub use priorities::{exponential_priorities, pair_priorities};
+pub use priorities::{exponential_priorities, fold_priorities, pair_priorities};
 pub use singleton::{smallest_singleton_cut, SingletonCut, SingletonEngine};

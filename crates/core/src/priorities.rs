@@ -15,11 +15,13 @@
 //! [`exponential_priorities`] ranks all m clocks. Algorithm 3 reads that
 //! order only through the minimum spanning forest, and a vertex pair's
 //! first clock to ring fixes its place there: every later parallel edge
-//! closes a cycle. [`pair_priorities`] therefore draws the same m clocks
+//! closes a cycle. [`fold_priorities`] therefore draws the same m clocks
 //! but ranks only the p vertex pairs of [`Graph::collapsed`], each by its
 //! least clock — an O(m) fold and an O(p log p) sort instead of an
 //! O(m log m) sort. On the collapsed graph, the pair ranks give the same
 //! forest in the same order, so Algorithm 3 finds the same cut and side.
+//! [`pair_priorities`] is the same fold for a caller that holds only the
+//! multigraph.
 
 use cut_graph::{Edge, Graph};
 use rand::Rng;
@@ -27,44 +29,61 @@ use rand::Rng;
 /// Draw contraction priorities for every edge of `g`: unique ranks
 /// `1..=m`, ordered by exponential clocks with rate = edge weight.
 pub fn exponential_priorities(g: &Graph, rng: &mut impl Rng) -> Vec<u64> {
-    ranks(clocks(g, rng).enumerate().map(|(e, clock)| ((clock, e as u32), e as u32)).collect())
+    ranks(
+        clocks(g.edges(), rng)
+            .enumerate()
+            .map(|(e, clock)| ((clock, e as u32), e as u32))
+            .collect(),
+    )
 }
 
 /// Contraction priorities for the vertex pairs of `g`: `g.collapsed()`
-/// and a unique rank `1..=p` per pair. The clocks are those
-/// [`exponential_priorities`] draws from the same `rng`, and pair `a`
-/// ranks before pair `b` iff `a`'s least per-edge rank there is smaller
-/// than `b`'s.
+/// and its [`fold_priorities`] ranks.
 pub fn pair_priorities(g: &Graph, rng: &mut impl Rng) -> (Graph, Vec<u64>) {
-    let clock: Vec<u64> = clocks(g, rng).collect();
-    let key = |e: u32| (clock[e as usize], e);
-    // Each pair with its summed weight and its least-key edge.
-    let mut pairs: Vec<(Edge, u32)> = Vec::new();
-    g.fold_pairs(|pair, u, v, e| {
-        let w = g.edge(e as usize).w;
-        match pairs.get_mut(pair) {
-            Some((merged, least)) => {
-                merged.w += w;
-                if key(e) < key(*least) {
-                    *least = e;
-                }
-            }
-            None => pairs.push((Edge::new(u, v, w), e)),
-        }
-    });
-    // `collapsed()`'s edge order.
-    for row in pairs.chunk_by_mut(|a, b| a.0.u == b.0.u) {
-        row.sort_unstable_by_key(|(merged, _)| merged.v);
-    }
-    let prio = ranks(pairs.iter().enumerate().map(|(i, &(_, e))| (key(e), i as u32)).collect());
-    (Graph::new_unchecked(g.n(), pairs.into_iter().map(|(merged, _)| merged).collect()), prio)
+    let pairs = g.collapsed();
+    let pair_of: Vec<usize> = g
+        .edges()
+        .iter()
+        .map(|e| {
+            let key = (e.u.min(e.v), e.u.max(e.v));
+            pairs.edges().binary_search_by_key(&key, |p| (p.u, p.v)).expect("every edge's pair")
+        })
+        .collect();
+    let prio = fold_priorities(g.edges(), pairs.m(), |e| pair_of[e], rng);
+    (pairs, prio)
 }
 
-/// One exponential clock per edge of `g`, in edge order, as the bit
-/// pattern of the `f64`. The clocks are positive and finite, and such
-/// values order like their bit patterns.
-fn clocks<'a>(g: &'a Graph, rng: &'a mut impl Rng) -> impl Iterator<Item = u64> + 'a {
-    g.edges().iter().map(|e| {
+/// Contraction priorities for the `pairs` vertex pairs that `edges` fold
+/// into, where edge `e` joins pair `pair_of(e)` and every pair has an
+/// edge: a unique rank `1..=pairs` per pair. The clocks are those
+/// [`exponential_priorities`] draws from the same `rng` for a graph with
+/// this edge list, and pair `a` ranks before pair `b` iff `a`'s least
+/// per-edge rank there is smaller than `b`'s. O(m) plus a sort of the
+/// pairs.
+pub fn fold_priorities(
+    edges: &[Edge],
+    pairs: usize,
+    pair_of: impl Fn(usize) -> usize,
+    rng: &mut impl Rng,
+) -> Vec<u64> {
+    // Each pair's least (clock, edge) key; clocks arrive in edge order.
+    let mut least = vec![(u64::MAX, u32::MAX); pairs];
+    for (e, clock) in clocks(edges, rng).enumerate() {
+        let key = (clock, e as u32);
+        let slot = &mut least[pair_of(e)];
+        if key < *slot {
+            *slot = key;
+        }
+    }
+    debug_assert!(least.iter().all(|&(_, e)| e != u32::MAX), "a pair without an edge");
+    ranks(least.into_iter().enumerate().map(|(pair, key)| (key, pair as u32)).collect())
+}
+
+/// One exponential clock per edge, in edge order, as the bit pattern of
+/// the `f64`. The clocks are positive and finite, and such values order
+/// like their bit patterns.
+fn clocks<'a>(edges: &'a [Edge], rng: &'a mut impl Rng) -> impl Iterator<Item = u64> + 'a {
+    edges.iter().map(|e| {
         // Inverse-CDF sampling; guard the log away from 0.
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         (-u.ln() / e.w as f64).to_bits()

@@ -7,13 +7,18 @@
 //! cached answer for it.
 //!
 //! Under the cache sits the **index layer** (`cut_index`): each registry
-//! entry carries a [`GraphIndex`] holding a CSR snapshot (built at most
-//! once per mutation, shared by every read in between, freed by the next
-//! mutation), a fully dynamic spanning forest that answers `Connectivity`
-//! in O(1) without BFS or rebuilds (deletes and contractions included) and
-//! certifies when the vertex partition last changed. The query cache
-//! itself is a real LRU ([`cut_index::LruCache`]) bounded by
-//! [`EngineConfig::max_cache_entries`].
+//! entry carries a [`GraphIndex`] holding a vertex-pair table that every
+//! mutation keeps current, the pair graph and the CSR snapshot built from
+//! it and from the edge list (each at most once per mutation, shared by
+//! every read in between, freed by the next mutation), and a fully dynamic
+//! spanning forest that answers `Connectivity` in O(1) without BFS or
+//! rebuilds (deletes and contractions included) and certifies when the
+//! vertex partition last changed. The query cache itself is a real LRU
+//! ([`cut_index::LruCache`]) bounded by [`EngineConfig::max_cache_entries`].
+//!
+//! A cut query reads the pair graph when its answer depends on each
+//! vertex pair only through the pair's summed weight, and the CSR only
+//! when its algorithm ranks every parallel edge (see `compute_query`).
 //!
 //! Everything is deterministic: queries that involve randomness carry
 //! their seed in the query value itself, so an identical request sequence
@@ -29,14 +34,14 @@ use cut_graph::{stoer_wagner, CutResult, Edge, Graph};
 use cut_index::{GraphIndex, IndexStats, LruCache};
 use cut_obs::{Clock, Registry};
 use mincut_core::{
-    approx_min_cut, apx_split, pair_priorities, KCutOptions, MinCutOptions, SingletonEngine,
+    approx_min_cut, apx_split, fold_priorities, KCutOptions, MinCutOptions, SingletonEngine,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::request::{
-    decode_name, encode_name, GraphSpec, Mutation, Query, Request, Response, MAX_PREALLOC,
-    QUERY_KINDS,
+    decode_name, encode_name, validate_edge, GraphSpec, Mutation, Query, Request, Response,
+    MAX_PREALLOC, QUERY_KINDS,
 };
 use crate::store_api::GraphStore;
 
@@ -75,6 +80,13 @@ impl Default for EngineConfig {
     }
 }
 
+/// The largest total edge weight a graph may have for cut queries. Every
+/// cut sum is at most the total, and two of them need it to fit in `i64`:
+/// Algorithm 3's stabbing sweep sums weights as `i64`
+/// (`mincut_core::intervals`), and Dinic's reverse arcs grow by the flow
+/// pushed, up to twice a pair's weight (`cut_graph::maxflow`).
+const MAX_CUT_TOTAL: u128 = i64::MAX as u128;
+
 /// Named ops between residency-heat half-life decays: heat charged in one
 /// window counts half in the next, so the spiller ranks graphs by recent
 /// traffic.
@@ -95,14 +107,14 @@ pub struct EngineStats {
     pub graphs_created: u64,
     /// Graphs dropped.
     pub graphs_dropped: u64,
-    /// Index-layer counters (CSR builds/reuses, LRU evictions),
-    /// aggregated across all graphs ever registered.
+    /// Index-layer counters (pair-graph and CSR builds/reuses, LRU
+    /// evictions), aggregated across all graphs ever registered.
     pub index: IndexStats,
-    /// CSR snapshot builds per query kind (indexed by
+    /// Pair-graph and CSR snapshot builds per query kind (indexed by
     /// [`Query::kind_index`]).
     pub builds_by_kind: [u64; QUERY_KINDS.len()],
-    /// CSR snapshot reuses — builds avoided — per query kind (indexed by
-    /// [`Query::kind_index`]).
+    /// Pair-graph and CSR snapshot reuses — builds avoided — per query
+    /// kind (indexed by [`Query::kind_index`]).
     pub reuse_by_kind: [u64; QUERY_KINDS.len()],
     /// Gated cut queries (exact/approx min cut, st-cut weight) that
     /// actually ran their algorithm — the expensive outcome the
@@ -205,7 +217,7 @@ impl EngineStats {
 /// spill/fault-in events the request triggered.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ObsDelta {
-    /// Nanoseconds spent (re)building CSR snapshots.
+    /// Nanoseconds spent building pair graphs and CSR snapshots.
     pub index_nanos: u64,
     /// Nanoseconds spent appending to / snapshotting the store.
     pub store_nanos: u64,
@@ -271,14 +283,15 @@ impl ObsScratch {
 }
 
 /// One registered graph: its mutable edge list, the incremental index
-/// (CSR snapshot, dynamic forest), the mutation epoch, and the per-epoch
-/// LRU query cache.
+/// (pair table, pair graph, CSR snapshot, dynamic forest), the mutation
+/// epoch, and the per-epoch LRU query cache.
 struct GraphEntry {
     n: usize,
+    /// Holds no self-loops: every path in validates its edges first.
     edges: Vec<Edge>,
-    /// The index layer: CSR snapshot and dynamic forest.
-    /// Its generation advances in lockstep with `epoch` (one bump per
-    /// successful mutation).
+    /// The index layer: pair table, pair graph, CSR snapshot and dynamic
+    /// forest. Its generation advances in lockstep with `epoch` (one bump
+    /// per successful mutation).
     index: GraphIndex,
     /// Bumped by every successful mutation.
     epoch: u64,
@@ -291,12 +304,6 @@ impl GraphEntry {
     fn new(n: usize, edges: Vec<Edge>, cache_capacity: usize) -> Self {
         let index = GraphIndex::new(n, &edges);
         Self { n, edges, index, epoch: 0, cache: LruCache::new(cache_capacity.max(1)) }
-    }
-
-    /// The CSR view of the current edge list (built iff the stamp is
-    /// stale — see [`GraphIndex::snapshot`]). Returns `(graph, built)`.
-    fn graph(&mut self) -> (&Graph, bool) {
-        self.index.snapshot(self.n, &self.edges)
     }
 
     fn touch(&mut self) {
@@ -464,7 +471,7 @@ impl Engine {
     pub fn snapshot(&mut self, name: &str) -> Option<Graph> {
         let stats = &mut self.stats;
         self.graphs.get_mut(name).map(|e| {
-            let (g, built) = e.graph();
+            let (g, built) = e.index.snapshot(e.n, &e.edges);
             if built {
                 stats.index.csr_builds += 1;
             }
@@ -875,9 +882,7 @@ impl GraphExport {
             if parts.next().is_some() {
                 return Err(format!("trailing tokens in edge line '{line}'"));
             }
-            if u as usize >= n || v as usize >= n {
-                return Err(format!("edge ({u}, {v}) out of range for n = {n} in snapshot"));
-            }
+            validate_edge(n, u, v, w).map_err(|e| format!("{e} in snapshot"))?;
             edges.push(Edge::new(u, v, w));
         }
 
@@ -977,8 +982,8 @@ impl std::fmt::Debug for GraphExport {
 }
 
 /// Serve one query against a looked-up entry: LRU/epoch cache first, then
-/// the index layer (dynamic-forest labels for connectivity, the CSR
-/// snapshot for everything else), attributing the work to `stats`.
+/// the index layer (dynamic-forest labels for connectivity, the pair graph
+/// or the CSR snapshot for cuts), attributing the work to `stats`.
 fn serve_query(
     stats: &mut EngineStats,
     cfg: &EngineConfig,
@@ -1025,9 +1030,9 @@ fn serve_query(
     }
     stats.cache_misses += 1;
 
-    // `csr` reports exactly what the compute arms did with the snapshot:
-    // None = never touched (connectivity, errors, the edgeless
-    // singleton-cut path), Some(built) otherwise.
+    // `csr` reports exactly what the compute arms did with the pair graph
+    // or the snapshot: None = never touched (connectivity, errors, the
+    // edgeless singleton-cut path), Some(built) otherwise.
     let mut csr: Option<bool> = None;
     let answer = compute_query(entry, cfg, query, &mut csr, obs);
     if query.is_certificate_gated() && !matches!(answer, Response::Error { .. }) {
@@ -1055,6 +1060,8 @@ fn serve_query(
 /// `stamp`, be carried across the mutations since? True only when a
 /// certificate *proves* a recompute would reproduce it byte-for-byte:
 ///
+/// 0. The graph's total weight is within [`MAX_CUT_TOTAL`]; past it a
+///    recompute answers an error.
 /// 1. The vertex partition is unchanged since `stamp`
 ///    ([`GraphIndex::partition_generation`], maintained by the dynamic
 ///    forest) — so connectivity-derived answers are frozen. This also
@@ -1072,7 +1079,7 @@ fn serve_query(
 /// weight changes on a cycle edge can move those answers without moving
 /// the partition.
 fn certificate_holds(entry: &mut GraphEntry, query: Query, stamp: u64) -> bool {
-    if entry.index.partition_generation() > stamp {
+    if entry.index.total_weight() > MAX_CUT_TOTAL || entry.index.partition_generation() > stamp {
         return false;
     }
     match query {
@@ -1086,21 +1093,18 @@ fn certificate_holds(entry: &mut GraphEntry, query: Query, stamp: u64) -> bool {
     }
 }
 
-/// Take the CSR snapshot for a compute arm, recording into `slot` whether
-/// the access built it or reused the current build, and charging build
-/// time to the span's index bucket (reuses read the clock but charge ~0).
-fn track<'g>(
-    entry: &'g mut GraphEntry,
-    slot: &mut Option<bool>,
-    obs: &mut ObsScratch,
-) -> &'g Graph {
+/// Take the pair graph or the CSR snapshot for a compute arm through
+/// `read`, recording into `slot` whether the access built it or reused the
+/// current build, and charging build time to the span's index bucket
+/// (reuses read the clock but charge nothing).
+fn track<T>(slot: &mut Option<bool>, obs: &mut ObsScratch, read: impl FnOnce() -> (T, bool)) -> T {
     let t0 = obs.now();
-    let (graph, built) = entry.graph();
+    let (view, built) = read();
     if built {
         obs.charge_index(t0);
     }
     *slot = Some(built);
-    graph
+    view
 }
 
 fn apply_insert(entry: &mut GraphEntry, u: u32, v: u32, w: u64) -> Result<(), String> {
@@ -1113,9 +1117,11 @@ fn apply_insert(entry: &mut GraphEntry, u: u32, v: u32, w: u64) -> Result<(), St
     if w == 0 {
         return Err(format!("zero-weight edge ({u}, {v})"));
     }
-    entry.edges.push(Edge::new(u, v, w));
-    // The dynamic forest links, the snapshot is freed.
-    entry.index.note_insert(u, v);
+    let e = Edge::new(u, v, w);
+    entry.edges.push(e);
+    // The pair table adds the weight, the dynamic forest links, the pair
+    // graph and the snapshot are freed.
+    entry.index.note_insert(e);
     Ok(())
 }
 
@@ -1126,7 +1132,7 @@ fn apply_delete(entry: &mut GraphEntry, u: u32, v: u32) -> Result<(), String> {
             let e = entry.edges.remove(i);
             // The dynamic forest searches for a replacement edge, so the
             // next connectivity read needs no rebuild.
-            entry.index.note_delete(e.u, e.v);
+            entry.index.note_delete(i, e);
             Ok(())
         }
         None => Err(format!("no edge ({u}, {v}) to delete")),
@@ -1152,16 +1158,35 @@ fn apply_contract(entry: &mut GraphEntry, u: u32, v: u32) -> Result<(), String> 
         if a > b {
             std::mem::swap(&mut a, &mut b);
         }
-        *merged.entry((a, b)).or_insert(0) += e.w;
+        let w = merged.entry((a, b)).or_insert(0);
+        *w = w.checked_add(e.w).ok_or_else(|| {
+            format!("contracting ({u}, {v}) would merge edge weights past {}", u64::MAX)
+        })?;
     }
     entry.n -= 1;
     entry.edges = merged.into_iter().map(|((a, b), w)| Edge::new(a, b, w)).collect();
     // Contraction relabels vertices and merges edges wholesale: re-derive
-    // the dynamic forest from the new state.
+    // the pair table and the dynamic forest from the new state.
     entry.index.rebuild_for(entry.n, &entry.edges);
     Ok(())
 }
 
+/// Compute one query's answer. Each cut reads the pair graph when its
+/// answer depends on each vertex pair only through the pair's summed
+/// weight, so the answer is byte-identical to the per-edge call on the
+/// CSR:
+///
+/// - exact min cut: Stoer–Wagner's dense matrix sums each pair;
+/// - s-t cut: `Dinic::new` builds one arc pair per vertex pair;
+/// - approximate min cut at `n <= base_size`: the contraction's base case
+///   is Stoer–Wagner;
+/// - k-cut at `n <= exact_below`: APX-SPLIT's split loop runs on the
+///   collapsed graph there, and its weight sums the crossing pairs;
+/// - singleton cut: Algorithm 3 on the pair graph under pair ranks, from
+///   the same m per-edge clocks (`mincut_core::priorities`).
+///
+/// Above their base cases, the approximate min cut and APX-SPLIT draw a
+/// priority for every parallel edge, so they read the CSR.
 fn compute_query(
     entry: &mut GraphEntry,
     cfg: &EngineConfig,
@@ -1170,6 +1195,14 @@ fn compute_query(
     obs: &mut ObsScratch,
 ) -> Response {
     let n = entry.n;
+    let total = entry.index.total_weight();
+    if query != Query::Connectivity && total > MAX_CUT_TOTAL {
+        return Response::Error {
+            message: format!(
+                "cut queries need a total edge weight of at most {MAX_CUT_TOTAL}, not {total}"
+            ),
+        };
+    }
     match query {
         Query::Connectivity => {
             // The dynamic forest's maintained labels: O(1), no BFS, no CSR,
@@ -1181,7 +1214,7 @@ fn compute_query(
             if n < 2 {
                 return Response::Error { message: "min cut needs n >= 2".into() };
             }
-            let g = track(entry, csr, obs);
+            let g = track(csr, obs, || entry.index.pair_graph(n, &entry.edges)).graph();
             match disconnected_cut(g) {
                 Some(cut) => cut_response(&cut),
                 None => cut_response(&stoer_wagner(g)),
@@ -1197,7 +1230,11 @@ fn compute_query(
                 repetitions: cfg.repetitions,
                 seed,
             };
-            let g = track(entry, csr, obs);
+            let g = if n <= cfg.base_size {
+                track(csr, obs, || entry.index.pair_graph(n, &entry.edges)).graph()
+            } else {
+                track(csr, obs, || entry.index.snapshot(n, &entry.edges))
+            };
             if let Some(cut) = disconnected_cut(g) {
                 return cut_response(&cut);
             }
@@ -1209,16 +1246,15 @@ fn compute_query(
             }
             if entry.edges.is_empty() {
                 // Every singleton cut of an edgeless graph weighs 0: no
-                // CSR needed.
+                // pair graph needed.
                 return Response::CutValue { weight: 0, side_size: 1, cached: false };
             }
-            let g = track(entry, csr, obs);
-            // Algorithm 3 on the collapsed graph under pair ranks: the
-            // same weight and side as under per-edge ranks, without
-            // sorting the m clocks (`mincut_core::priorities`).
-            let (pairs, prio) = pair_priorities(g, &mut SmallRng::seed_from_u64(seed));
-            let engine = SingletonEngine::new(&pairs, &prio);
-            let cut = engine.smallest(&pairs);
+            let pairs = track(csr, obs, || entry.index.pair_graph(n, &entry.edges));
+            let g = pairs.graph();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let prio = fold_priorities(&entry.edges, g.m(), |e| pairs.pair_of(e), &mut rng);
+            let engine = SingletonEngine::new(g, &prio);
+            let cut = engine.smallest(g);
             // The realizing side is a bag (super-vertex), not one vertex.
             let side = engine.bag(cut.leader, cut.time);
             Response::CutValue { weight: cut.weight, side_size: side.len(), cached: false }
@@ -1229,7 +1265,11 @@ fn compute_query(
                     message: format!("k-cut needs 1 <= k <= n (k = {k}, n = {n})"),
                 };
             }
-            let g = track(entry, csr, obs);
+            let g = if n <= cfg.exact_below {
+                track(csr, obs, || entry.index.pair_graph(n, &entry.edges)).graph()
+            } else {
+                track(csr, obs, || entry.index.snapshot(n, &entry.edges))
+            };
             let mut opts = KCutOptions::new(k);
             opts.exact_below = cfg.exact_below;
             opts.mincut.epsilon = cfg.epsilon;
@@ -1246,7 +1286,7 @@ fn compute_query(
             if s == t {
                 return Response::Error { message: "st-cut needs s != t".into() };
             }
-            let g = track(entry, csr, obs);
+            let g = track(csr, obs, || entry.index.pair_graph(n, &entry.edges)).graph();
             let weight = cut_graph::maxflow::min_st_cut(g, s, t);
             Response::CutValue { weight, side_size: 0, cached: false }
         }
@@ -1713,6 +1753,18 @@ mod tests {
         // room for them.
         let trace = "graph g 3 0\nedges 1099511627776\n0 1 1\n";
         assert!(GraphExport::from_trace(trace, 16).is_err());
+    }
+
+    #[test]
+    fn snapshot_edges_are_validated_like_created_ones() {
+        // The pair table and the cut code assume no self-loops and no
+        // zero weights; a snapshot file must not bring one in.
+        for edge in ["0 0 1", "0 1 0", "0 3 1"] {
+            let trace = format!("graph g 3 0\nedges 1\n{edge}\ncache 0\nend\n");
+            let err = GraphExport::from_trace(&trace, 16).expect_err(edge);
+            assert!(err.ends_with("in snapshot"), "{edge}: {err}");
+        }
+        assert!(GraphExport::from_trace("graph g 3 0\nedges 1\n0 1 1\ncache 0\nend\n", 16).is_ok());
     }
 
     #[test]

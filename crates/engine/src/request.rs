@@ -143,7 +143,7 @@ impl GraphSpec {
     }
 }
 
-fn validate_edge(n: usize, u: u32, v: u32, w: u64) -> Result<(), String> {
+pub(crate) fn validate_edge(n: usize, u: u32, v: u32, w: u64) -> Result<(), String> {
     if u as usize >= n || v as usize >= n {
         return Err(format!("edge ({u}, {v}) out of range for n = {n}"));
     }

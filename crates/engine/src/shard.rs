@@ -635,25 +635,50 @@ mod tests {
 
     #[test]
     fn heavy_edge_weights_keep_the_shard_serving() {
-        // Three edges of weight 2^63 sum past u64::MAX. The index adds up
-        // no weights, so writes and connectivity on this graph are served
-        // instead of panicking and taking the whole shard down. (Cut
-        // queries still sum weights, so none is sent here.)
+        // Three edges of weight 2^63 sum past u64::MAX. No mutation sums
+        // weights where they can overflow, so writes and connectivity on
+        // this graph are served. Every cut kind, and a contraction whose
+        // merged edge would not fit in u64, answers an error instead of a
+        // wrapped weight or a panic, and the shard serves on: this graph
+        // and another one it holds.
         let w = 1u64 << 63;
         let sharded = ShardedEngine::new(2);
-        let requests = [
+        let shard = sharded.shard_of("t");
+        let other = (0..)
+            .map(|i| format!("g{i}"))
+            .find(|name| sharded.shard_of(name) == shard)
+            .expect("some name shares the shard");
+        let served = [
             Request::Create {
                 name: "t".into(),
                 spec: GraphSpec::Edges { n: 3, edges: vec![(0, 1, w), (1, 2, w), (0, 2, w)] },
             },
+            Request::Create { name: other.clone(), spec: GraphSpec::Cycle { n: 6 } },
             Request::Mutate { name: "t".into(), op: Mutation::InsertEdge { u: 0, v: 1, w } },
             Request::Mutate { name: "t".into(), op: Mutation::DeleteEdge { u: 0, v: 1 } },
             Request::Query { name: "t".into(), query: Query::Connectivity },
         ];
-        for req in requests {
+        for req in served {
             let r = sharded.execute(req.clone());
             assert!(!matches!(r, Response::Error { .. }), "{req} answered {r}");
         }
+        let refused = [
+            Request::Query { name: "t".into(), query: Query::ExactMinCut },
+            Request::Query { name: "t".into(), query: Query::ApproxMinCut { seed: 1 } },
+            Request::Query { name: "t".into(), query: Query::SingletonCut { seed: 1 } },
+            Request::Query { name: "t".into(), query: Query::KCut { k: 2 } },
+            Request::Query { name: "t".into(), query: Query::StCutWeight { s: 0, t: 1 } },
+            Request::Mutate { name: "t".into(), op: Mutation::ContractVertices { u: 0, v: 1 } },
+        ];
+        for req in refused {
+            let r = sharded.execute(req.clone());
+            assert!(matches!(r, Response::Error { .. }), "{req} answered {r}");
+            assert!(!r.to_string().contains("down"), "{req} answered {r}");
+        }
+        let r = sharded.execute(Request::Query { name: "t".into(), query: Query::Connectivity });
+        assert!(matches!(r, Response::ConnectivityValue { components: 1, .. }), "got {r}");
+        let r = sharded.execute(Request::Query { name: other, query: Query::ExactMinCut });
+        assert!(matches!(r, Response::CutValue { weight: 2, .. }), "got {r}");
     }
 
     /// Pull the merged metrics registry out of a live sharded engine.

@@ -127,6 +127,11 @@ impl DynConn {
         self.edges.len()
     }
 
+    /// Parallel copies of `(u, v)` currently tracked (0 if none).
+    pub fn multiplicity(&self, u: u32, v: u32) -> u32 {
+        self.edges.get(&norm(u, v)).map_or(0, |st| st.count)
+    }
+
     /// Monotonic counter bumped whenever the vertex partition changes (a
     /// merge or a split). Unchanged across inserts/deletes that do not
     /// alter which vertices are mutually reachable.

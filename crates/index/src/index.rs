@@ -1,7 +1,9 @@
-//! The per-graph incremental index: a CSR snapshot kept until the next
-//! mutation, and fully dynamic connectivity.
+//! The per-graph incremental index: a vertex-pair table and dynamic
+//! connectivity kept current through every mutation, and a pair graph and
+//! a CSR snapshot each built at the first read after a mutation.
 
 use crate::dynconn::DynConn;
+use crate::pairs::{PairBuild, PairGraph, PairTable};
 use cut_graph::{Dsu, Edge, Graph};
 
 /// Counters for how much work the index layer absorbed. Owned by whoever
@@ -10,9 +12,9 @@ use cut_graph::{Dsu, Edge, Graph};
 /// driver folds it in here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// CSR snapshots built from the edge list.
+    /// Pair graphs and CSR snapshots built.
     pub csr_builds: u64,
-    /// Snapshot requests served by the current build (builds avoided).
+    /// Reads served by the current pair graph or snapshot (builds avoided).
     pub csr_reuses: u64,
     /// Entries evicted from LRU query caches.
     pub lru_evictions: u64,
@@ -27,17 +29,6 @@ impl IndexStats {
         self.csr_reuses += csr_reuses;
         self.lru_evictions += lru_evictions;
     }
-
-    /// Fraction of snapshot requests that reused the current build, in
-    /// `[0, 1]` (0 when no snapshot was ever requested).
-    pub fn reuse_rate(&self) -> f64 {
-        let total = self.csr_builds + self.csr_reuses;
-        if total == 0 {
-            0.0
-        } else {
-            self.csr_reuses as f64 / total as f64
-        }
-    }
 }
 
 /// The incremental index kept alongside one graph's edge list.
@@ -50,9 +41,15 @@ impl IndexStats {
 /// rest lazily at the next read. Invariants:
 ///
 /// - **Generations.** Every notification bumps `generation` and frees
-///   the CSR snapshot, so a snapshot present is current: between two
-///   mutations, any number of reads share one build, and a stale build
-///   never outlives the mutation that made it stale.
+///   the pair graph and the CSR snapshot, so either one present is
+///   current: between two mutations, any number of reads share one
+///   build, and a stale build never outlives the mutation that made it
+///   stale.
+/// - **Pair table.** Each joined vertex pair's summed weight, each edge's
+///   pair, and the exact total weight are kept through every notification
+///   in O(log p), so [`pair_graph`](GraphIndex::pair_graph) builds
+///   [`Graph::collapsed`]'s graph in O(n + p), never touching the m
+///   edges. The pair multiplicity is the dynamic forest's.
 /// - **Dynamic forest.** A [`DynConn`] level structure is maintained
 ///   through every notification in amortized polylog time, so
 ///   [`components_live`](GraphIndex::components_live) /
@@ -62,12 +59,17 @@ impl IndexStats {
 ///   the certificate the engine's cut-cache gating keys on. In debug
 ///   builds the reads cross-check against a from-scratch DSU.
 ///
-/// The index does no weight arithmetic: connectivity and the generations
-/// depend only on which vertex pairs are joined, and weights reach the
-/// index only inside the edge list a snapshot copies.
+/// No notification can overflow: the total is a `u128` and pair sums
+/// wrap. Pair sums are exact while [`total_weight`](GraphIndex::total_weight)
+/// fits in `u64`; a reader of the pair graph checks it first.
 pub struct GraphIndex {
     /// Bumped by every noted mutation.
     generation: u64,
+    /// Per-pair weights, per-edge pairs and the total weight.
+    pairs: PairTable,
+    /// Lazily built pair graph; `None` from every mutation until the next
+    /// read.
+    pair_graph: Option<PairBuild>,
     /// Lazily built CSR view of the owner's edge list; `None` from every
     /// mutation until the next read.
     snapshot: Option<Graph>,
@@ -80,11 +82,14 @@ pub struct GraphIndex {
 }
 
 impl GraphIndex {
-    /// Index a fresh graph: the dynamic forest is built eagerly, the CSR
-    /// snapshot lazily on first use.
+    /// Index a fresh graph: the pair table and the dynamic forest are
+    /// built eagerly, the pair graph and the CSR snapshot lazily on first
+    /// use.
     pub fn new(n: usize, edges: &[Edge]) -> Self {
         Self {
             generation: 0,
+            pairs: PairTable::new(edges),
+            pair_graph: None,
             snapshot: None,
             dynconn: DynConn::new(n, edges),
             partition_generation: 0,
@@ -111,46 +116,73 @@ impl GraphIndex {
         self.generation
     }
 
-    /// True when a snapshot was built since the last mutation (the next
-    /// [`snapshot`](GraphIndex::snapshot) call will not build).
-    pub fn snapshot_is_fresh(&self) -> bool {
-        self.snapshot.is_some()
+    /// Exact sum of the owner's edge weights.
+    pub fn total_weight(&self) -> u128 {
+        self.pairs.total()
     }
 
-    /// An edge `(u, v)` was appended to the owner's edge list.
-    pub fn note_insert(&mut self, u: u32, v: u32) {
+    /// Every notification: a new generation, and the lazy views freed.
+    fn invalidate(&mut self) {
         self.generation += 1;
+        self.pair_graph = None;
         self.snapshot = None;
+    }
+
+    /// The edge `e` was appended to the owner's edge list.
+    pub fn note_insert(&mut self, e: Edge) {
+        self.invalidate();
+        self.pairs.insert(e);
         let was = self.dynconn.version();
-        self.dynconn.insert(u, v);
+        self.dynconn.insert(e.u, e.v);
         if self.dynconn.version() != was {
             self.partition_generation = self.generation;
         }
     }
 
-    /// An edge `(u, v)` was removed from the owner's edge list.
-    pub fn note_delete(&mut self, u: u32, v: u32) {
-        self.generation += 1;
-        self.snapshot = None;
+    /// The edge `e` at position `i` was removed from the owner's edge
+    /// list, shifting the later edges down one place (`Vec::remove`).
+    pub fn note_delete(&mut self, i: usize, e: Edge) {
+        self.invalidate();
         // The dynamic forest absorbs the delete exactly (replacement-edge
         // search), so connectivity never rebuilds.
         let was = self.dynconn.version();
-        self.dynconn.delete(u, v);
+        self.dynconn.delete(e.u, e.v);
         if self.dynconn.version() != was {
             self.partition_generation = self.generation;
         }
+        self.pairs.delete(i, e, self.dynconn.multiplicity(e.u, e.v) == 0);
     }
 
     /// The owner's graph changed wholesale (contraction relabels vertices
-    /// and merges parallel edges): re-derive the dynamic forest from the
-    /// new state.
+    /// and merges parallel edges): re-derive the pair table and the
+    /// dynamic forest from the new state.
     pub fn rebuild_for(&mut self, n: usize, edges: &[Edge]) {
-        self.generation += 1;
-        self.snapshot = None;
+        self.invalidate();
+        self.pairs = PairTable::new(edges);
         self.dynconn = DynConn::new(n, edges);
         // A wholesale rebuild can change the partition arbitrarily; claim
         // the current generation.
         self.partition_generation = self.generation;
+    }
+
+    /// The pair graph of `(n, edges)` at the current generation, building
+    /// it from the pair table in O(n + p) if a mutation freed the last
+    /// one. Returns `(pairs, built)` where `built` is true iff this call
+    /// built it. In debug builds a build is checked against
+    /// [`Graph::collapsed`] of `(n, edges)`; release builds read neither.
+    pub fn pair_graph(&mut self, n: usize, edges: &[Edge]) -> (PairGraph<'_>, bool) {
+        let built = self.pair_graph.is_none();
+        let build = self.pair_graph.get_or_insert_with(|| self.pairs.build(n));
+        let pairs = self.pairs.view(build);
+        if built && cfg!(debug_assertions) && self.pairs.total() <= u128::from(u64::MAX) {
+            let collapsed = Graph::new_unchecked(n, edges.to_vec()).collapsed();
+            assert_eq!(pairs.graph().edges(), collapsed.edges(), "pair table vs collapsed()");
+            for (i, e) in edges.iter().enumerate() {
+                let pair = pairs.graph().edge(pairs.pair_of(i));
+                assert_eq!((pair.u, pair.v), (e.u.min(e.v), e.u.max(e.v)), "edge {i}'s pair");
+            }
+        }
+        (pairs, built)
     }
 
     /// The CSR view of `(n, edges)` at the current generation, building it
@@ -226,26 +258,75 @@ mod tests {
     fn snapshot_builds_once_per_generation() {
         let mut edges = path(5);
         let mut idx = GraphIndex::new(5, &edges);
-        assert!(!idx.snapshot_is_fresh());
         assert!(idx.snapshot(5, &edges).1, "first read builds");
-        assert!(idx.snapshot_is_fresh());
         assert!(!idx.snapshot(5, &edges).1, "second read reuses");
+        assert!(idx.pair_graph(5, &edges).1, "the pair graph builds on its own first read");
+        assert!(!idx.pair_graph(5, &edges).1);
         assert!(!idx.snapshot(5, &edges).1);
 
         edges.push(Edge::new(0, 4, 9));
-        idx.note_insert(0, 4);
-        assert!(!idx.snapshot_is_fresh(), "an insert frees the snapshot");
+        idx.note_insert(edges[4]);
         let (g, built) = idx.snapshot(5, &edges);
-        assert!(built);
+        assert!(built, "an insert frees the snapshot");
         assert_eq!(g.m(), 5);
         assert!(!idx.snapshot(5, &edges).1);
+        assert!(idx.pair_graph(5, &edges).1, "an insert frees the pair graph");
 
         let e = edges.remove(0);
-        idx.note_delete(e.u, e.v);
-        assert!(!idx.snapshot_is_fresh(), "a delete frees the snapshot");
+        idx.note_delete(0, e);
         let (g, built) = idx.snapshot(5, &edges);
-        assert!(built);
+        assert!(built, "a delete frees the snapshot");
         assert_eq!(g.m(), 4);
+        assert!(idx.pair_graph(5, &edges).1, "a delete frees the pair graph");
+    }
+
+    #[test]
+    fn pair_graph_merges_parallel_edges_and_reuses_freed_slots() {
+        let mut edges = vec![Edge::new(0, 1, 2), Edge::new(1, 2, 3), Edge::new(1, 0, 4)];
+        let mut idx = GraphIndex::new(4, &edges);
+        let pairs_of = |idx: &mut GraphIndex, edges: &[Edge]| {
+            let (pairs, _) = idx.pair_graph(4, edges);
+            let merged: Vec<(u32, u32, u64)> =
+                pairs.graph().edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+            (merged, (0..edges.len()).map(|e| pairs.pair_of(e)).collect::<Vec<_>>())
+        };
+        assert_eq!(pairs_of(&mut idx, &edges), (vec![(0, 1, 6), (1, 2, 3)], vec![0, 1, 0]));
+
+        // One copy of (0, 1) goes; the pair stays with the other's weight.
+        let e = edges.remove(0);
+        idx.note_delete(0, e);
+        assert_eq!(pairs_of(&mut idx, &edges), (vec![(0, 1, 4), (1, 2, 3)], vec![1, 0]));
+        // Its last copy goes, and a new pair takes the freed slot.
+        let e = edges.remove(1);
+        idx.note_delete(1, e);
+        assert_eq!(pairs_of(&mut idx, &edges), (vec![(1, 2, 3)], vec![0]));
+        edges.push(Edge::new(3, 0, 5));
+        idx.note_insert(edges[1]);
+        assert_eq!(pairs_of(&mut idx, &edges), (vec![(0, 3, 5), (1, 2, 3)], vec![1, 0]));
+        assert_eq!(idx.total_weight(), 8);
+
+        // Contraction re-derives the table.
+        let contracted = vec![Edge::new(0, 1, 8)];
+        idx.rebuild_for(2, &contracted);
+        let (pairs, built) = idx.pair_graph(2, &contracted);
+        assert!(built);
+        assert_eq!(pairs.graph().edges(), &contracted[..]);
+    }
+
+    #[test]
+    fn heavy_weights_sum_exactly_and_never_overflow() {
+        let w = 1u64 << 63;
+        let mut edges = vec![Edge::new(0, 1, w), Edge::new(1, 2, w), Edge::new(0, 2, w)];
+        let mut idx = GraphIndex::new(3, &edges);
+        assert_eq!(idx.total_weight(), 3 * u128::from(w));
+        edges.push(Edge::new(0, 1, w));
+        idx.note_insert(edges[3]);
+        assert_eq!(idx.total_weight(), 4 * u128::from(w));
+        let e = edges.remove(0);
+        idx.note_delete(0, e);
+        let e = edges.remove(2);
+        idx.note_delete(2, e);
+        assert_eq!(idx.total_weight(), 2 * u128::from(w));
     }
 
     #[test]
@@ -254,9 +335,9 @@ mod tests {
         let mut idx = GraphIndex::new(4, &edges);
         assert_eq!(idx.generation(), 0);
         edges.push(Edge::new(0, 2, 1));
-        idx.note_insert(0, 2);
+        idx.note_insert(edges[3]);
         let e = edges.remove(0);
-        idx.note_delete(e.u, e.v);
+        idx.note_delete(0, e);
         idx.rebuild_for(4, &edges);
         assert_eq!(idx.generation(), 3);
     }
@@ -269,7 +350,6 @@ mod tests {
         // Pretend 5 was merged into 0: n shrinks, edges relabeled.
         let contracted = vec![Edge::new(0, 1, 3), Edge::new(1, 2, 2), Edge::new(3, 4, 7)];
         idx.rebuild_for(5, &contracted);
-        assert!(!idx.snapshot_is_fresh());
         assert_eq!(idx.components_live(5, &contracted), 2);
         let (g, built) = idx.snapshot(5, &contracted);
         assert!(built);
@@ -285,16 +365,17 @@ mod tests {
         let (g, built) = idx.snapshot(3, &[]);
         assert!(built);
         assert_eq!((g.n(), g.m()), (3, 0));
+        let (pairs, built) = idx.pair_graph(3, &[]);
+        assert!(built);
+        assert_eq!((pairs.graph().n(), pairs.graph().m()), (3, 0));
     }
 
     #[test]
-    fn stats_merge_and_reuse_rate() {
+    fn stats_merge_sums_every_counter() {
         let mut a = IndexStats { csr_builds: 1, csr_reuses: 3, ..Default::default() };
         let b = IndexStats { csr_builds: 1, csr_reuses: 3, lru_evictions: 7 };
         a.merge(&b);
         assert_eq!(a, IndexStats { csr_builds: 2, csr_reuses: 6, lru_evictions: 7 });
-        assert!((a.reuse_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(IndexStats::default().reuse_rate(), 0.0);
     }
 
     #[test]
@@ -305,11 +386,11 @@ mod tests {
         assert!(idx.same_component_live(4, &edges, 0, 2));
         // Delete a cycle edge: still connected.
         let e = edges.remove(2);
-        idx.note_delete(e.u, e.v);
+        idx.note_delete(2, e);
         assert_eq!(idx.components_live(4, &edges), 2);
         // Delete a bridge: the live path sees the split immediately.
         let e = edges.remove(1);
-        idx.note_delete(e.u, e.v);
+        idx.note_delete(1, e);
         assert_eq!(idx.components_live(4, &edges), 3);
         assert!(!idx.same_component_live(4, &edges, 1, 2));
     }
@@ -321,21 +402,21 @@ mod tests {
         assert_eq!(idx.partition_generation(), 0);
         // A cycle-closing insert does not move the partition.
         edges.push(Edge::new(0, 1, 5));
-        idx.note_insert(0, 1);
+        idx.note_insert(edges[1]);
         assert_eq!(idx.generation(), 1);
         assert_eq!(idx.partition_generation(), 0);
         // Deleting one parallel copy does not either.
         let e = edges.pop().unwrap();
-        idx.note_delete(e.u, e.v);
+        idx.note_delete(1, e);
         assert_eq!(idx.generation(), 2);
         assert_eq!(idx.partition_generation(), 0);
         // A merging insert does.
         edges.push(Edge::new(1, 2, 1));
-        idx.note_insert(1, 2);
+        idx.note_insert(edges[1]);
         assert_eq!(idx.partition_generation(), 3);
         // A splitting delete does.
         let e = edges.pop().unwrap();
-        idx.note_delete(e.u, e.v);
+        idx.note_delete(1, e);
         assert_eq!(idx.partition_generation(), 4);
         // rebuild_for claims the current generation conservatively.
         idx.rebuild_for(3, &edges);

@@ -12,7 +12,7 @@
 //! splits), stars (high-degree promotion sweeps), and repeated
 //! delete/re-insert of one edge (multiplicity bookkeeping).
 
-use cut_graph::{Dsu, Edge};
+use cut_graph::{Dsu, Edge, Graph};
 use cut_index::{DynConn, GraphIndex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -89,7 +89,10 @@ proptest! {
 
     /// The GraphIndex live path (which owns a DynConn) equals the oracle
     /// through insert/delete/contract interleavings — contractions
-    /// exercise the wholesale `rebuild_for` reset the engine uses.
+    /// exercise the wholesale `rebuild_for` reset the engine uses. Its pair
+    /// graph equals `Graph::collapsed()` of the edge list after every step,
+    /// with every edge filed under its own pair: parallel copies (some
+    /// inserted reversed) and deletes of a pair's last copy included.
     #[test]
     fn graph_index_live_path_matches_oracle(seed in any::<u64>(), start_n in 4usize..24, steps in 1usize..90) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -115,18 +118,21 @@ proptest! {
                     .collect();
                 idx.rebuild_for(n, &edges);
             } else if kind < 55 || edges.is_empty() {
-                let u = rng.gen_range(0..n as u32);
-                let mut v = rng.gen_range(0..n as u32);
-                if u == v {
-                    v = (v + 1) % n as u32;
-                }
+                let (u, v) = if kind < 15 && !edges.is_empty() {
+                    let e = edges[rng.gen_range(0..edges.len())];
+                    (e.v, e.u)
+                } else {
+                    let u = rng.gen_range(0..n as u32);
+                    let v = rng.gen_range(0..n as u32);
+                    (u, if u == v { (v + 1) % n as u32 } else { v })
+                };
                 let w = rng.gen_range(1..16u64);
                 edges.push(Edge::new(u, v, w));
-                idx.note_insert(u, v);
+                idx.note_insert(edges[edges.len() - 1]);
             } else {
                 let i = rng.gen_range(0..edges.len());
-                let e = edges.swap_remove(i);
-                idx.note_delete(e.u, e.v);
+                let e = edges.remove(i);
+                idx.note_delete(i, e);
             }
             let pairs: Vec<(u32, u32)> = edges.iter().map(|e| (e.u, e.v)).collect();
             let mut dsu = oracle(n, &pairs);
@@ -136,6 +142,17 @@ proptest! {
             let v = rng.gen_range(0..n as u32);
             let same = idx.same_component_live(n, &edges, u, v);
             prop_assert!(same == dsu.same(u, v), "connected({u}, {v}) at step {step}");
+
+            let total: u128 = edges.iter().map(|e| u128::from(e.w)).sum();
+            prop_assert!(idx.total_weight() == total, "total weight at step {step}");
+            let collapsed = Graph::new(n, edges.clone()).collapsed();
+            let (pairs, _) = idx.pair_graph(n, &edges);
+            prop_assert!(pairs.graph().n() == n, "pair graph n at step {step}");
+            prop_assert!(pairs.graph().edges() == collapsed.edges(), "pair graph at step {step}");
+            for (i, e) in edges.iter().enumerate() {
+                let pair = pairs.graph().edge(pairs.pair_of(i));
+                prop_assert!((pair.u, pair.v) == (e.u.min(e.v), e.u.max(e.v)), "edge {i}'s pair at step {step}");
+            }
         }
     }
 
